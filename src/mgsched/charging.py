@@ -10,6 +10,11 @@ The solver is an infeasible-start primal-dual path-following method with a
 Mehrotra-style centering parameter on the pure-inequality form
 
     minimize c'x  subject to  G x <= h.
+
+``G`` is sparse: every column (one EV in one period) has five nonzeros, its
+two box rows, its period's feed-limit row and its EV's two energy rows.  Each
+Newton step factors the augmented KKT system with a sparse LU (SuperLU), so
+the work grows with the nonzeros rather than the cube of the fleet size.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, lu_factor, lu_solve
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from mgsched.ev_fleet import EvParams, EvSession
 
@@ -56,7 +62,7 @@ class LpProblem:
     """min c'x + constant  s.t.  G x <= h, with one column per (EV, period)."""
 
     c: np.ndarray
-    G: np.ndarray
+    G: sparse.csc_array
     h: np.ndarray
     constant: float
     columns: list[tuple[int, int]]  # (session index, period) per variable
@@ -108,48 +114,41 @@ def build_lp(
 
     if n == 0:
         return LpProblem(
-            c=np.zeros(0), G=np.zeros((0, 0)), h=np.zeros(0),
+            c=np.zeros(0), G=sparse.csc_array((0, 0)), h=np.zeros(0),
             constant=station.daily_cost, columns=[], n_sessions=len(sessions), n_periods=n_periods,
         )
 
-    c = np.array([prices[t] * dt for _, t in columns])
+    col_ev, col_t = _column_index(columns)
+    c = prices[col_t] * dt
 
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
+    # Row blocks: power box (rated limit, then non-negativity), one aggregate
+    # feed limit per used period, then per EV the delivered-energy band
+    # required <= eta * sum(p) * dt <= room to full.  A column's five rows
+    # ascend in that order, so they are its CSC indices as they stand.
+    used_periods = np.unique(col_t)
+    n_cap = used_periods.size
+    j = np.arange(n)
+    energy_row = 2 * n + n_cap + 2 * col_ev
+    indices = np.column_stack(
+        [j, n + j, 2 * n + np.searchsorted(used_periods, col_t), energy_row, energy_row + 1]
+    ).ravel()
+    data = np.tile([1.0, -1.0, 1.0, -eta * dt, eta * dt], n)
+    m = 2 * n + n_cap + 2 * len(sessions)
+    G = sparse.csc_array((data, indices, np.arange(0, 5 * n + 1, 5)), shape=(m, n))
 
-    # Per-variable power box (rated limit and non-negativity).
-    eye = np.eye(n)
-    rows.append(eye)
-    rhs.extend([ev.rated_power] * n)
-    rows.append(-eye)
-    rhs.extend([0.0] * n)
-
-    # Per-period aggregate feed limit.
-    used_periods = sorted({t for _, t in columns})
-    cap_block = np.zeros((len(used_periods), n))
-    for r, t in enumerate(used_periods):
-        for j, (_, tj) in enumerate(columns):
-            if tj == t:
-                cap_block[r, j] = 1.0
-    rows.append(cap_block)
-    rhs.extend(caps[t] for t in used_periods)
-
-    # Per-EV delivered-energy band: required <= eta * sum(p) * dt <= room to full.
-    energy_block = np.zeros((2 * len(sessions), n))
-    for i, s in enumerate(sessions):
-        coeff = np.array([eta * dt if ci == i else 0.0 for ci, _ in columns])
-        energy_block[2 * i] = -coeff
-        energy_block[2 * i + 1] = coeff
-        rhs.append(-s.required_energy)
-        rhs.append((1.0 - s.soc_initial) * ev.battery_capacity)
-    rows.append(energy_block)
-
-    G = np.vstack(rows)
-    h = np.array(rhs)
+    energy_rhs = np.array(
+        [(-s.required_energy, (1.0 - s.soc_initial) * ev.battery_capacity) for s in sessions]
+    ).ravel()
+    h = np.concatenate([np.full(n, ev.rated_power), np.zeros(n), caps[used_periods], energy_rhs])
     return LpProblem(
         c=c, G=G, h=h, constant=station.daily_cost,
         columns=columns, n_sessions=len(sessions), n_periods=n_periods,
     )
+
+
+def _column_index(columns: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(session index, period) arrays of the LP columns."""
+    return tuple(np.array(columns, dtype=np.intp).reshape(-1, 2).T)
 
 
 def _check_structure(sessions: list[EvSession], ev: EvParams, caps: np.ndarray, dt: float) -> None:
@@ -188,19 +187,19 @@ def _check_structure(sessions: list[EvSession], ev: EvParams, caps: np.ndarray, 
 
 def solve_inequality_lp(
     c: np.ndarray,
-    G: np.ndarray,
+    G: np.ndarray | sparse.sparray,
     h: np.ndarray,
     tol: float = 1e-8,
     max_iter: int = 100,
 ) -> tuple[np.ndarray, dict]:
     """Solve min c'x s.t. G x <= h by a primal-dual interior-point method.
 
-    Returns the primal solution and an info dict with the certified duality
-    gap, residuals and iteration count.  Raises :class:`IpmError` when the
+    ``G`` may be a dense array or a scipy sparse matrix or array.  Returns the
+    primal solution and an info dict with the certified duality gap,
+    residuals and iteration count.  Raises :class:`IpmError` when the
     iteration budget runs out or the KKT system degenerates.
     """
     c = np.asarray(c, dtype=float)
-    G = np.asarray(G, dtype=float)
     h = np.asarray(h, dtype=float)
     n = c.size
     m = h.size
@@ -208,6 +207,8 @@ def solve_inequality_lp(
         return np.zeros(0), {"gap": 0.0, "iterations": 0, "primal_residual": 0.0, "dual_residual": 0.0, "max_comp": 0.0}
     if m == 0:
         raise ValueError("an LP without inequality rows is unbounded in this form")
+    G = sparse.csc_array(G, dtype=float)
+    off_diagonal = sparse.block_array([[None, G.T], [G, None]], format="csc")
 
     x = np.zeros(n)
     s = np.maximum(h - G @ x, 1.0)
@@ -249,21 +250,16 @@ def solve_inequality_lp(
                 "max_comp": float(comp.max()),
             }
 
-        # Augmented KKT system in (dx, dz); forming the normal equations
-        # G' diag(z/s) G loses too much precision once the optimal face is
-        # degenerate and z/s spans many orders of magnitude.  A primal/dual
-        # regularization pair is escalated until the factorization produces
-        # finite steps.
-        kkt = np.zeros((n + m, n + m))
-        kkt[:n, n:] = G.T
-        kkt[n:, :n] = G
-        diag = np.arange(n + m)
-
+        # Augmented KKT system in (dx, dz), factored by sparse LU; forming
+        # the normal equations G' diag(z/s) G loses too much precision once
+        # the optimal face is degenerate and z/s spans many orders of
+        # magnitude.  A primal/dual regularization pair is escalated until
+        # the factorization produces finite steps.
         def newton(r_comp):
             rhs = np.concatenate([-r_dual, -r_prim + r_comp / z])
-            step = lu_solve(factor, rhs, check_finite=False)
+            step = factor.solve(rhs)
             if np.all(np.isfinite(step)):
-                step += lu_solve(factor, rhs - kkt @ step, check_finite=False)
+                step += factor.solve(rhs - kkt @ step)
             dx, dz = step[:n], step[n:]
             ds = -r_prim - G @ dx if np.all(np.isfinite(dx)) else np.full(m, np.nan)
             return dx, ds, dz
@@ -271,12 +267,12 @@ def solve_inequality_lp(
         step_limit = 1e10 * (1.0 + float(np.max(s)) + float(np.max(z)))
         dx_a = None
         for reg in (0.0, 1e-10, 1e-7, 1e-4):
-            kkt[diag[:n], diag[:n]] = reg
-            kkt[diag[n:], diag[n:]] = -s / z - reg
+            diagonal = sparse.diags_array(np.concatenate([np.full(n, reg), -s / z - reg]))
+            kkt = (off_diagonal + diagonal).tocsc()
             try:
-                factor = lu_factor(kkt, check_finite=False)
+                factor = splu(kkt)
                 candidate = newton(comp)
-            except (LinAlgError, ValueError):
+            except (RuntimeError, ValueError):  # splu: "Factor is exactly singular"
                 continue
             if all(np.all(np.isfinite(d)) and np.max(np.abs(d), initial=0.0) < step_limit for d in candidate):
                 dx_a, ds_a, dz_a = candidate
@@ -338,8 +334,7 @@ def ipm_solve(lp: LpProblem, tol: float = 1e-8, max_iter: int = 100, dt: float =
     """Solve the charging LP and assemble the plan matrix."""
     x, info = solve_inequality_lp(lp.c, lp.G, lp.h, tol=tol, max_iter=max_iter)
     p_ev = np.zeros((lp.n_sessions, lp.n_periods))
-    for value, (i, t) in zip(x, lp.columns):
-        p_ev[i, t] = max(0.0, float(value))
+    p_ev[_column_index(lp.columns)] = np.where(x > 0.0, x, 0.0)
     ev_load = p_ev.sum(axis=0)
     variable_cost = float(x @ lp.c) if lp.n_vars else 0.0
     return ChargingPlan(
@@ -362,7 +357,7 @@ def plan_residuals(plan: ChargingPlan, lp: LpProblem) -> float:
     """Largest constraint violation of the plan against its LP (kW / kWh)."""
     if lp.n_vars == 0:
         return 0.0
-    x = np.array([plan.p_ev[i, t] for i, t in lp.columns])
+    x = plan.p_ev[_column_index(lp.columns)]
     return float(np.max(np.maximum(lp.G @ x - lp.h, 0.0), initial=0.0))
 
 

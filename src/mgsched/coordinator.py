@@ -81,7 +81,7 @@ class IterationRecord:
     schedule: UpperSchedule
     mg_cost: float  # net microgrid operating cost at the realized prices
     ev_cost: float  # fleet bill at the realized prices
-    caps: np.ndarray = None  # feed limits the charging program faced
+    caps: np.ndarray = None  # feed limits the charging program was solved against
 
 
 @dataclass
@@ -195,16 +195,19 @@ def _jaya_for(rt: ScenarioRuntime, salt: int) -> JayaConfig:
     )
 
 
-def _solve_lower(rt: ScenarioRuntime, prices: np.ndarray, caps: np.ndarray) -> ChargingPlan:
+def _solve_lower(rt: ScenarioRuntime, prices: np.ndarray, caps: np.ndarray) -> tuple[ChargingPlan, np.ndarray]:
+    """Charging plan and the feed limits it was solved against: ``caps``, or
+    the loose limits when the program fell back to them."""
     try:
         lp = build_lp(rt.sessions, rt.ev_params, prices, caps, rt.station)
-        return ipm_solve(lp, tol=rt.ipm_tol, max_iter=rt.ipm_max_iter)
+        return ipm_solve(lp, tol=rt.ipm_tol, max_iter=rt.ipm_max_iter), caps
     except (StructuralInfeasibilityError, IpmError):
         # A thin commitment pattern can leave the fleet's minimum demand
         # unservable or push the program against a degenerate face; relax to
         # the physical-capacity limit for this round.
-        lp = build_lp(rt.sessions, rt.ev_params, prices, loose_caps(rt), rt.station)
-        return ipm_solve(lp, tol=rt.ipm_tol, max_iter=rt.ipm_max_iter)
+        caps = loose_caps(rt)
+        lp = build_lp(rt.sessions, rt.ev_params, prices, caps, rt.station)
+        return ipm_solve(lp, tol=rt.ipm_tol, max_iter=rt.ipm_max_iter), caps
 
 
 def compute_baselines(rt: ScenarioRuntime) -> BaselineOutcomes:
@@ -214,7 +217,7 @@ def compute_baselines(rt: ScenarioRuntime) -> BaselineOutcomes:
     The dispatch is polished with warm-started repeat solves so the ideal
     microgrid cost is as converged as the pricing-loop iterates it anchors.
     """
-    plan = _solve_lower(rt, rt.tou, loose_caps(rt))
+    plan, _ = _solve_lower(rt, rt.tou, loose_caps(rt))
     shadow = real_time_price(plan.ev_load, rt.base_load, rt.p_ref, rt.omega_ref, rt.price_floor)
     inputs = upper_inputs(rt, plan.ev_load, shadow.prices)
     schedule, mg_cost_ideal = solve_upper(inputs, _jaya_for(rt, salt=7919))
@@ -247,7 +250,7 @@ def run_bilevel(rt: ScenarioRuntime, initial_schedule: UpperSchedule | None = No
     caps = loose_caps(rt)
     previous = initial_schedule
     for k in range(rt.pricing_iterations):
-        plan = _solve_lower(rt, announced, caps)
+        plan, solved_caps = _solve_lower(rt, announced, caps)
         realized = real_time_price(plan.ev_load, rt.base_load, rt.p_ref, rt.omega_ref, rt.price_floor)
         inputs = upper_inputs(rt, plan.ev_load, realized.prices)
         schedule, mg_cost = solve_upper(inputs, _jaya_for(rt, salt=211 * k), warm_start=previous)
@@ -259,7 +262,7 @@ def run_bilevel(rt: ScenarioRuntime, initial_schedule: UpperSchedule | None = No
                 schedule=schedule,
                 mg_cost=mg_cost,
                 ev_cost=charging_cost(plan, realized.prices, rt.station),
-                caps=caps,
+                caps=solved_caps,
             )
         )
         announced = realized.prices

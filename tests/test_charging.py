@@ -1,11 +1,16 @@
 """Charging LP construction and the interior-point solver, checked against a
 brute-force vertex-enumeration oracle."""
 
+import copy
 import itertools
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linprog
 
+from mgsched import coordinator as co
+from mgsched import scenario as sc
 from mgsched.charging import (
     IpmError,
     StationParams,
@@ -56,6 +61,19 @@ def vertex_optimum(c, G, h):
     return best
 
 
+def random_lp(rng):
+    """Small bounded LP min c'x s.t. Gx <= h with a strictly feasible point."""
+    n = int(rng.integers(2, 7))
+    ub = rng.uniform(1.0, 5.0, n)
+    x_feasible = rng.uniform(0.2, 0.8) * ub
+    k = int(rng.integers(1, 5))
+    a = rng.normal(size=(k, n))
+    b = a @ x_feasible + rng.uniform(0.1, 2.0, k)
+    G = np.vstack([np.eye(n), -np.eye(n), a])
+    h = np.concatenate([ub, np.zeros(n), b])
+    return rng.normal(size=n), G, h
+
+
 def test_two_period_plan_hand_solution():
     session = _session(0, (1, 2), required=7.5)
     prices = np.array([0.5, 0.9, 0.3])
@@ -70,6 +88,7 @@ def test_two_period_plan_hand_solution():
 
 def test_empty_fleet_costs_only_amortization():
     lp = build_lp([], PARAMS, np.full(3, 0.6), np.full(3, 50.0), STATION)
+    assert lp.G.shape == (0, 0)
     plan = ipm_solve(lp)
     assert plan.total_cost == pytest.approx(AMORTIZED)
     assert AMORTIZED == pytest.approx(0.8219, abs=5e-5)
@@ -108,15 +127,7 @@ def test_box_only_lp_sits_at_zero():
 def test_random_lps_match_vertex_oracle():
     rng = np.random.default_rng(0)
     for _ in range(40):
-        n = int(rng.integers(2, 7))
-        ub = rng.uniform(1.0, 5.0, n)
-        x_feasible = rng.uniform(0.2, 0.8) * ub
-        k = int(rng.integers(1, 5))
-        a = rng.normal(size=(k, n))
-        b = a @ x_feasible + rng.uniform(0.1, 2.0, k)
-        G = np.vstack([np.eye(n), -np.eye(n), a])
-        h = np.concatenate([ub, np.zeros(n), b])
-        c = rng.normal(size=n)
+        c, G, h = random_lp(rng)
         x, info = solve_inequality_lp(c, G, h, tol=1e-8)
         assert float(c @ x) == pytest.approx(vertex_optimum(c, G, h), abs=1e-6)
         assert info["max_comp"] <= 1e-7
@@ -179,3 +190,52 @@ def test_plan_csv_layout(tmp_path):
     assert lines[0] == "ev_id,p0,p1,p2"
     assert lines[1].startswith("4,")
     assert lines[-1].startswith("total,")
+
+
+def test_dense_and_sparse_constraints_give_the_same_solution():
+    c, G, h = random_lp(np.random.default_rng(5))
+    x_dense, _ = solve_inequality_lp(c, G, h)
+    x_sparse, _ = solve_inequality_lp(c, sparse.csc_array(G), h)
+    assert x_sparse == pytest.approx(x_dense, abs=1e-12)
+
+
+def test_singular_kkt_climbs_the_regularization_ladder():
+    # the second variable is in no row, so the unregularized KKT is singular
+    c = np.array([1.0, 0.0])
+    G = np.array([[-1.0, 0.0], [1.0, 0.0]])
+    h = np.array([0.0, 2.0])
+    x, info = solve_inequality_lp(c, G, h)
+    assert x == pytest.approx(np.zeros(2), abs=1e-8)
+    assert info["gap"] <= 1e-8
+
+
+def _baseline_scaled(count):
+    """Packaged baseline with ``count`` EVs and its microgrid's kW/kWh
+    quantities scaled by the fleet-size ratio, so the feed limits keep up."""
+    doc = copy.deepcopy(sc.load_scenario(sc.baseline_scenario_path()))
+    factor = count / doc["fleet"]["count"]
+    doc["fleet"]["count"] = count
+    for unit in doc["mt_units"]:
+        for key in ("p_min", "p_max", "startup_cost", "fixed_fuel"):
+            unit[key] *= factor
+    for key in ("soc_min", "soc_max", "soc_start", "p_ch_max", "p_dc_max"):
+        doc["ess"][key] *= factor
+    doc["load"]["mean"] = [v * factor for v in doc["load"]["mean"]]
+    for source in ("pv", "wt"):
+        doc[source]["p_rated"] = [v * factor for v in doc[source]["p_rated"]]
+    doc["pricing"]["p_ref"] *= factor
+    doc["algorithm"]["step_q"] *= factor
+    return doc
+
+
+@pytest.mark.parametrize("count", [150, 500])
+def test_production_fleet_matches_highs(count):
+    rt = sc.prepare(_baseline_scaled(count), seed=11)
+    lp = build_lp(rt.sessions, rt.ev_params, rt.tou, co.loose_caps(rt), rt.station)
+    assert sparse.issparse(lp.G)
+    assert lp.G.nnz == 5 * lp.n_vars
+    plan = ipm_solve(lp, tol=rt.ipm_tol, max_iter=rt.ipm_max_iter)
+    highs = linprog(lp.c, A_ub=lp.G, b_ub=lp.h, bounds=(None, None), method="highs")
+    assert highs.status == 0
+    assert abs(plan.variable_cost - highs.fun) <= 1e-6 * abs(highs.fun)
+    assert plan_residuals(plan, lp) <= 1e-6

@@ -2,13 +2,14 @@
 
 import copy
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from mgsched import coordinator as co
 from mgsched import scenario as sc
-from mgsched.charging import charging_cost
+from mgsched.charging import StructuralInfeasibilityError, build_lp, charging_cost
 from mgsched.dispatch import net_operating_cost
 
 
@@ -178,3 +179,20 @@ def test_writers_produce_stable_files(tmp_path, small_rt):
     assert summary["selected_iteration"] == outcome.selected_index
     assert summary["mg_cost_joint"] == outcome.selected.mg_cost
     assert max(summary["max_residuals"].values()) <= 1e-6
+
+
+def test_fallback_records_the_caps_it_solved_against(tmp_path, small_rt, monkeypatch):
+    # a dispatch that leaves no feed headroom makes the next charging program
+    # structurally infeasible, so it falls back to the loose limits
+    no_caps = np.zeros(small_rt.tou.size)
+    with pytest.raises(StructuralInfeasibilityError):
+        build_lp(small_rt.sessions, small_rt.ev_params, small_rt.tou, no_caps, small_rt.station)
+    monkeypatch.setattr(co, "caps_from_schedule", lambda rt, sched: no_caps)
+    records = co.run_bilevel(small_rt)
+    assert np.array_equal(records[1].caps, co.loose_caps(small_rt))
+
+    ideal = SimpleNamespace(mg_cost_ideal=0.0, ev_cost_ideal=0.0)
+    outcome = co.JointOutcome(records=records, baselines=ideal, selected_index=1)
+    co.write_summary_json(tmp_path / "summary.json", small_rt, outcome)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["charging_plan_residual"] <= 1e-6
