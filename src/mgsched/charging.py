@@ -90,7 +90,6 @@ def build_lp(
     prices: np.ndarray,
     caps: np.ndarray,
     station: StationParams,
-    dt: float = 1.0,
 ) -> LpProblem:
     """Assemble the charging LP for one pricing iteration.
 
@@ -106,7 +105,7 @@ def build_lp(
     if np.any(caps < 0.0):
         raise ValueError("feed limits must be non-negative")
 
-    _check_structure(sessions, ev, caps, dt)
+    _check_structure(sessions, ev, caps)
 
     columns = [(i, t) for i, s in enumerate(sessions) for t in s.window]
     n = len(columns)
@@ -119,12 +118,13 @@ def build_lp(
         )
 
     col_ev, col_t = _column_index(columns)
-    c = prices[col_t] * dt
+    c = prices[col_t]
 
     # Row blocks: power box (rated limit, then non-negativity), one aggregate
     # feed limit per used period, then per EV the delivered-energy band
-    # required <= eta * sum(p) * dt <= room to full.  A column's five rows
-    # ascend in that order, so they are its CSC indices as they stand.
+    # required <= eta * sum(p) <= room to full (periods are one hour, so the
+    # kW sum is in kWh).  A column's five rows ascend in that order, so they
+    # are its CSC indices as they stand.
     used_periods = np.unique(col_t)
     n_cap = used_periods.size
     j = np.arange(n)
@@ -132,7 +132,7 @@ def build_lp(
     indices = np.column_stack(
         [j, n + j, 2 * n + np.searchsorted(used_periods, col_t), energy_row, energy_row + 1]
     ).ravel()
-    data = np.tile([1.0, -1.0, 1.0, -eta * dt, eta * dt], n)
+    data = np.tile([1.0, -1.0, 1.0, -eta, eta], n)
     m = 2 * n + n_cap + 2 * len(sessions)
     G = sparse.csc_array((data, indices, np.arange(0, 5 * n + 1, 5)), shape=(m, n))
 
@@ -151,14 +151,14 @@ def _column_index(columns: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarra
     return tuple(np.array(columns, dtype=np.intp).reshape(-1, 2).T)
 
 
-def _check_structure(sessions: list[EvSession], ev: EvParams, caps: np.ndarray, dt: float) -> None:
+def _check_structure(sessions: list[EvSession], ev: EvParams, caps: np.ndarray) -> None:
     eta = ev.charge_efficiency
     starved = []
     for s in sessions:
         if not s.window:
             starved.append(s.ev_id)
             continue
-        deliverable = sum(min(ev.rated_power, caps[t]) for t in s.window) * eta * dt
+        deliverable = sum(min(ev.rated_power, caps[t]) for t in s.window) * eta
         if s.required_energy > deliverable + FEASIBILITY_SLACK:
             starved.append(s.ev_id)
     if starved:
@@ -176,7 +176,7 @@ def _check_structure(sessions: list[EvSession], ev: EvParams, caps: np.ndarray, 
             if a > b:
                 continue
             demand = sum(r for (lo, hi), r in zip(windows, reqs) if lo >= a and hi <= b)
-            supply = float(np.sum(caps[a : b + 1])) * eta * dt
+            supply = float(np.sum(caps[a : b + 1])) * eta
             if demand > supply + FEASIBILITY_SLACK:
                 inside = [s.ev_id for s in sessions if s.window and s.window[0] >= a and s.window[-1] <= b]
                 raise StructuralInfeasibilityError(
@@ -330,7 +330,7 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     return float(min(1.0, np.min(-v[shrink] / dv[shrink])))
 
 
-def ipm_solve(lp: LpProblem, tol: float = 1e-8, max_iter: int = 100, dt: float = 1.0) -> ChargingPlan:
+def ipm_solve(lp: LpProblem, tol: float = 1e-8, max_iter: int = 100) -> ChargingPlan:
     """Solve the charging LP and assemble the plan matrix."""
     x, info = solve_inequality_lp(lp.c, lp.G, lp.h, tol=tol, max_iter=max_iter)
     p_ev = np.zeros((lp.n_sessions, lp.n_periods))
@@ -347,10 +347,10 @@ def ipm_solve(lp: LpProblem, tol: float = 1e-8, max_iter: int = 100, dt: float =
     )
 
 
-def charging_cost(plan: ChargingPlan, prices: np.ndarray, station: StationParams, dt: float = 1.0) -> float:
+def charging_cost(plan: ChargingPlan, prices: np.ndarray, station: StationParams) -> float:
     """Fleet bill at the given prices plus daily station amortization."""
     prices = np.asarray(prices, dtype=float)
-    return float(np.dot(prices, plan.ev_load) * dt) + station.daily_cost
+    return float(np.dot(prices, plan.ev_load)) + station.daily_cost
 
 
 def plan_residuals(plan: ChargingPlan, lp: LpProblem) -> float:

@@ -54,15 +54,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_runtime(args) -> sc.ScenarioRuntime:
+def _load_runtime(args) -> sc.ScenarioRuntime | None:
+    """The prepared scenario, or None after reporting why it is invalid."""
     path = args.scenario if args.scenario is not None else sc.baseline_scenario_path()
-    doc = sc.load_scenario(path)
-    iters = getattr(args, "iters", None)
-    return sc.prepare(doc, seed=args.seed, iterations=iters, scenario_dir=Path(path).parent)
+    try:
+        doc = sc.load_scenario(path)
+        iters = getattr(args, "iters", None)
+        return sc.prepare(doc, seed=args.seed, iterations=iters, scenario_dir=Path(path).parent)
+    except (sc.ScenarioError, OSError, ValueError) as exc:
+        print(f"invalid scenario: {exc}", file=sys.stderr)
+        return None
 
 
-def cmd_run(args) -> int:
-    rt = _load_runtime(args)
+def cmd_run(args, rt: sc.ScenarioRuntime) -> int:
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     outcome = co.run_joint(rt)
@@ -84,8 +88,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_strategies(args) -> int:
-    rt = _load_runtime(args)
+def cmd_strategies(args, rt: sc.ScenarioRuntime) -> int:
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     base = co.compute_baselines(rt)
@@ -102,12 +105,11 @@ def cmd_strategies(args) -> int:
     return 0
 
 
-def cmd_cases(args) -> int:
-    rt = _load_runtime(args)
+def cmd_cases(args, rt: sc.ScenarioRuntime) -> int:
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     base = co.compute_baselines(rt)
-    report = co.run_case(rt, co.Case.DEMAND_RESPONSE, base)
+    report = co.run_case(rt, base)
     co.write_cases_csv(out / "cases.csv", report)
     print(f"peak-to-valley: without response {report.peak_to_valley_no_dr:.2f} kW, "
           f"with response {report.peak_to_valley_dr:.2f} kW")
@@ -117,15 +119,7 @@ def cmd_cases(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
-    path = args.scenario if args.scenario is not None else sc.baseline_scenario_path()
-    try:
-        doc = sc.load_scenario(path)
-        rt = sc.prepare(doc, seed=args.seed, scenario_dir=Path(path).parent)
-    except (sc.ScenarioError, OSError, ValueError) as exc:
-        print(f"invalid scenario: {exc}", file=sys.stderr)
-        return 1
-
+def cmd_validate(args, rt: sc.ScenarioRuntime) -> int:
     problems = []
     for t, seq in enumerate(rt.sequences):
         total = float(seq.probs.sum())
@@ -150,13 +144,16 @@ def cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    rt = _load_runtime(args)
+    if rt is None:
+        return 1
     handlers = {
         "run": cmd_run,
         "strategies": cmd_strategies,
         "cases": cmd_cases,
         "validate": cmd_validate,
     }
-    return handlers[args.command](args)
+    return handlers[args.command](args, rt)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -46,26 +46,15 @@ from mgsched.jaya import JayaConfig
 from mgsched.scenario import ScenarioRuntime
 
 
-class PriceOrigin(Enum):
-    GRID_TOU = "grid_tou"
-    REAL_TIME = "real_time"
-
-
 class Strategy(Enum):
     MG_ONLY = "mg_only"
     JOINT = "joint"
     EV_ONLY = "ev_only"
 
 
-class Case(Enum):
-    NO_DEMAND_RESPONSE = "no_demand_response"
-    DEMAND_RESPONSE = "demand_response"
-
-
 @dataclass(frozen=True)
 class PriceProfile:
     prices: np.ndarray  # $/kWh per period
-    origin: PriceOrigin
 
     def __post_init__(self):
         object.__setattr__(self, "prices", np.asarray(self.prices, dtype=float))
@@ -81,7 +70,7 @@ class IterationRecord:
     schedule: UpperSchedule
     mg_cost: float  # net microgrid operating cost at the realized prices
     ev_cost: float  # fleet bill at the realized prices
-    caps: np.ndarray = None  # feed limits the charging program was solved against
+    caps: np.ndarray  # feed limits the charging program was solved against
 
 
 @dataclass
@@ -143,7 +132,7 @@ def real_time_price(
     total = np.asarray(ev_load, dtype=float) + np.asarray(base_load, dtype=float)
     if np.any(total < 0.0):
         raise ValueError("loads must be non-negative")
-    return PriceProfile(np.maximum(total / p_ref * omega_ref, floor), PriceOrigin.REAL_TIME)
+    return PriceProfile(np.maximum(total / p_ref * omega_ref, floor))
 
 
 def select_joint_optimum(records: list[IterationRecord], mg_cost_ideal: float, ev_cost_ideal: float) -> IterationRecord:
@@ -183,16 +172,7 @@ def upper_inputs(rt: ScenarioRuntime, ev_load: np.ndarray, prices: np.ndarray) -
 
 
 def _jaya_for(rt: ScenarioRuntime, salt: int) -> JayaConfig:
-    cfg = rt.jaya
-    return JayaConfig(
-        pop_size=cfg.pop_size,
-        max_iter=cfg.max_iter,
-        seed=cfg.seed + salt,
-        thr1=cfg.thr1,
-        thr2=cfg.thr2,
-        restart_fraction=cfg.restart_fraction,
-        restart_cooldown=cfg.restart_cooldown,
-    )
+    return replace(rt.jaya, seed=rt.jaya.seed + salt)
 
 
 def _solve_lower(rt: ScenarioRuntime, prices: np.ndarray, caps: np.ndarray) -> tuple[ChargingPlan, np.ndarray]:
@@ -301,7 +281,7 @@ def peak_to_valley(total_load: np.ndarray) -> float:
     return float(np.max(total_load) - np.min(total_load))
 
 
-def run_case(rt: ScenarioRuntime, case: Case, baselines: BaselineOutcomes | None = None,
+def run_case(rt: ScenarioRuntime, baselines: BaselineOutcomes | None = None,
              joint: JointOutcome | None = None) -> CaseReport:
     """Compare fleet behaviour without and with price response.
 
@@ -312,13 +292,9 @@ def run_case(rt: ScenarioRuntime, case: Case, baselines: BaselineOutcomes | None
     load pattern drives the system price.
     """
     base = baselines if baselines is not None else compute_baselines(rt)
-    if case is Case.DEMAND_RESPONSE:
-        outcome = joint if joint is not None else run_joint(rt, base)
-        dr_load = outcome.selected.plan.ev_load
-        dr_price = outcome.selected.prices.prices
-    else:
-        dr_load = base.plan.ev_load
-        dr_price = base.shadow_prices.prices
+    outcome = joint if joint is not None else run_joint(rt, base)
+    dr_load = outcome.selected.plan.ev_load
+    dr_price = outcome.selected.prices.prices
     return CaseReport(
         base_load=rt.base_load,
         ev_load_no_dr=base.plan.ev_load,
@@ -395,8 +371,7 @@ def write_summary_json(path, rt: ScenarioRuntime, outcome: JointOutcome) -> None
     selected = outcome.selected
     inputs = upper_inputs(rt, selected.plan.ev_load, selected.prices.prices)
     residuals = constraint_residuals(selected.schedule, inputs)
-    caps = selected.caps if selected.caps is not None else loose_caps(rt)
-    lp = build_lp(rt.sessions, rt.ev_params, selected.prices.prices, caps, rt.station)
+    lp = build_lp(rt.sessions, rt.ev_params, selected.prices.prices, selected.caps, rt.station)
     summary = {
         "mg_cost_ideal": base.mg_cost_ideal,
         "ev_cost_ideal": base.ev_cost_ideal,

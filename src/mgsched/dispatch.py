@@ -102,7 +102,6 @@ class UpperInputs:
     ev_load: np.ndarray  # (T,) kW
     prices: np.ndarray  # (T,) $/kWh billed to the EV fleet
     penalty_weight: float = 1000.0
-    dt: float = 1.0
     renewable_expectation: np.ndarray = field(init=False)
     reserve_requirement: np.ndarray = field(init=False)
 
@@ -129,20 +128,19 @@ def net_operating_cost(
     prices: np.ndarray,
     units: tuple[MtUnit, ...],
     ess: EssParams,
-    dt: float = 1.0,
 ) -> float:
     """Operating cost of generators, storage and reserves minus EV revenue."""
-    revenue = float(np.dot(np.asarray(ev_load, dtype=float), np.asarray(prices, dtype=float))) * dt
+    revenue = float(np.dot(np.asarray(ev_load, dtype=float), np.asarray(prices, dtype=float)))
     ess_cost = float(
-        np.sum(ess.discharge_price * sched.p_dc + ess.charge_price * sched.p_ch) * dt
-        + np.sum(ess.reserve_price * sched.p_res) * dt
+        np.sum(ess.discharge_price * sched.p_dc + ess.charge_price * sched.p_ch)
+        + np.sum(ess.reserve_price * sched.p_res)
     )
     mt_cost = 0.0
     for n, unit in enumerate(units):
         mt_cost += float(
-            np.sum(unit.reserve_cost * sched.r_mt[n] * dt)
+            np.sum(unit.reserve_cost * sched.r_mt[n])
             + np.sum(unit.startup_cost * sched.startup[n])
-            + np.sum(sched.on[n] * (unit.fixed_fuel + unit.fuel_slope * sched.p_mt[n]) * dt)
+            + np.sum(sched.on[n] * (unit.fixed_fuel + unit.fuel_slope * sched.p_mt[n]))
         )
     return -revenue + ess_cost + mt_cost
 
@@ -197,7 +195,7 @@ def _repair_population(
     Shapes: (P, U, T) for unit arrays, (P, T) for storage/system arrays.
     Returns repaired arrays plus per-candidate penalty magnitudes.
     """
-    units, ess, dt = inputs.units, inputs.ess, inputs.dt
+    units, ess = inputs.units, inputs.ess
     pop, n_units, t = p_mt.shape
 
     p_min = np.array([u.p_min for u in units])[None, :, None]
@@ -213,9 +211,9 @@ def _repair_population(
     p_ch = np.where(keep_ch, np.clip(p_ch, 0.0, ess.p_ch_max), 0.0)
     p_dc = np.where(keep_ch, 0.0, np.clip(p_dc, 0.0, ess.p_dc_max))
 
-    gain_max = ess.eta_ch * ess.p_ch_max * dt  # kWh gained per full-charge period
-    drop_max = ess.p_dc_max * dt / ess.eta_dc  # kWh shed per full-discharge period
-    delta = ess.eta_ch * p_ch * dt - p_dc * dt / ess.eta_dc
+    gain_max = ess.eta_ch * ess.p_ch_max  # kWh gained per full-charge period
+    drop_max = ess.p_dc_max / ess.eta_dc  # kWh shed per full-discharge period
+    delta = ess.eta_ch * p_ch - p_dc / ess.eta_dc
 
     soc = np.empty((pop, t + 1))
     soc[:, 0] = ess.soc_start
@@ -228,13 +226,13 @@ def _repair_population(
         soc[:, k + 1] = np.clip(soc[:, k] + delta[:, k], step_lo, step_hi)
 
     moves = np.diff(soc, axis=1)
-    p_ch = np.maximum(moves, 0.0) / (ess.eta_ch * dt)
-    p_dc = -np.minimum(moves, 0.0) * ess.eta_dc / dt
+    p_ch = np.maximum(moves, 0.0) / ess.eta_ch
+    p_dc = -np.minimum(moves, 0.0) * ess.eta_dc
 
     # Storage reserve: bounded by the energy above the floor and the unused
     # discharge rating.
     res_cap = np.minimum(
-        ess.eta_dc * (soc[:, :-1] - ess.soc_min) / dt, ess.p_dc_max - p_dc
+        ess.eta_dc * (soc[:, :-1] - ess.soc_min), ess.p_dc_max - p_dc
     )
     res_cap = np.maximum(res_cap, 0.0)
     p_res = np.clip(p_res, 0.0, res_cap)
@@ -279,7 +277,7 @@ def _repair_population(
 
 
 def _population_fitness(x: np.ndarray, b: np.ndarray, inputs: UpperInputs) -> np.ndarray:
-    units, ess, dt = inputs.units, inputs.ess, inputs.dt
+    units, ess = inputs.units, inputs.ess
     pop = x.shape[0]
     n_units, t = len(units), inputs.n_periods
     on = b.reshape(pop, n_units, t)
@@ -287,15 +285,15 @@ def _population_fitness(x: np.ndarray, b: np.ndarray, inputs: UpperInputs) -> np
         *_split_genes(x, n_units, t), on, inputs
     )
 
-    revenue = float(np.dot(inputs.ev_load, inputs.prices)) * dt
+    revenue = float(np.dot(inputs.ev_load, inputs.prices))
     cost = -revenue + (
         ess.discharge_price * p_dc + ess.charge_price * p_ch + ess.reserve_price * p_res
-    ).sum(axis=1) * dt
+    ).sum(axis=1)
     fixed = np.array([u.fixed_fuel for u in units])[None, :, None]
     slope = np.array([u.fuel_slope for u in units])[None, :, None]
     res_c = np.array([u.reserve_cost for u in units])[None, :, None]
     start_c = np.array([u.startup_cost for u in units])[None, :, None]
-    cost += (res_c * r_mt * dt + start_c * startup + on * (fixed + slope * p_mt) * dt).sum(axis=(1, 2))
+    cost += (res_c * r_mt + start_c * startup + on * (fixed + slope * p_mt)).sum(axis=(1, 2))
 
     penalty = inputs.penalty_weight * (deficit.sum(axis=1) + short.sum(axis=1))
     return cost + penalty
@@ -321,7 +319,7 @@ def repair_and_close_balance(
 
 def constraint_residuals(sched: UpperSchedule, inputs: UpperInputs) -> dict[str, float]:
     """Largest violation of each dispatch constraint (kW or kWh)."""
-    units, ess, dt = inputs.units, inputs.ess, inputs.dt
+    units, ess = inputs.units, inputs.ess
     p_min = np.array([u.p_min for u in units])[:, None]
     p_max = np.array([u.p_max for u in units])[:, None]
 
@@ -332,7 +330,7 @@ def constraint_residuals(sched: UpperSchedule, inputs: UpperInputs) -> dict[str,
     demand = inputs.base_load + inputs.ev_load + sched.p_un
     balance = np.abs(supply - demand)
 
-    soc_step = sched.soc[:-1] + ess.eta_ch * sched.p_ch * dt - sched.p_dc * dt / ess.eta_dc
+    soc_step = sched.soc[:-1] + ess.eta_ch * sched.p_ch - sched.p_dc / ess.eta_dc
     recursion = np.abs(sched.soc[1:] - soc_step)
 
     soc_bounds = np.maximum(
@@ -346,7 +344,7 @@ def constraint_residuals(sched: UpperSchedule, inputs: UpperInputs) -> dict[str,
 
     headroom = np.maximum(sched.p_mt + sched.r_mt - sched.on * p_max, 0.0)
     res_cap = np.minimum(
-        ess.eta_dc * (sched.soc[:-1] - ess.soc_min) / dt, ess.p_dc_max - sched.p_dc
+        ess.eta_dc * (sched.soc[:-1] - ess.soc_min), ess.p_dc_max - sched.p_dc
     )
     reserve_cap = np.maximum(sched.p_res - np.maximum(res_cap, 0.0), 0.0)
     reserve_req = np.maximum(inputs.reserve_requirement - sched.total_reserve(), 0.0)
@@ -362,14 +360,6 @@ def constraint_residuals(sched: UpperSchedule, inputs: UpperInputs) -> dict[str,
         "ess_reserve_cap": float(np.max(reserve_cap, initial=0.0)),
         "reserve_requirement": float(np.max(reserve_req, initial=0.0)),
     }
-
-
-def penalized_fitness(sched: UpperSchedule, inputs: UpperInputs, weight: float | None = None) -> float:
-    """Net cost plus ``weight`` times the total constraint violation."""
-    w = inputs.penalty_weight if weight is None else weight
-    cost = net_operating_cost(sched, inputs.ev_load, inputs.prices, inputs.units, inputs.ess, inputs.dt)
-    violation = sum(constraint_residuals(sched, inputs).values())
-    return cost + w * violation
 
 
 def encode_schedule(sched: UpperSchedule) -> tuple[np.ndarray, np.ndarray]:
@@ -395,7 +385,6 @@ def solve_upper(
         hi,
         n_binary=n_binary,
         config=config,
-        vectorized=True,
         initial=encode_schedule(warm_start) if warm_start is not None else None,
     )
     sched = repair_and_close_balance(result.best.continuous, result.best.binary, inputs)
@@ -407,7 +396,7 @@ def solve_upper(
             f"no feasible schedule within {config.max_iter} iterations; worst residuals {offenders}",
             residuals,
         )
-    cost = net_operating_cost(sched, inputs.ev_load, inputs.prices, inputs.units, inputs.ess, inputs.dt)
+    cost = net_operating_cost(sched, inputs.ev_load, inputs.prices, inputs.units, inputs.ess)
     return sched, cost
 
 

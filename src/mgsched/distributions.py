@@ -1,4 +1,4 @@
-"""Probability models for renewables, base load and EV behaviour.
+"""Probability models for renewables and EV behaviour.
 
 Continuous models are described by :class:`PdfSpec` records.  A spec carries a
 density on its support plus optional point masses (the wind-power model has
@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr, ndtri
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -25,7 +24,6 @@ DAY_HOURS = 24.0
 class PdfKind(str, Enum):
     BETA_PV = "beta_pv"
     WEIBULL_WT = "weibull_wt"
-    NORMAL_LOAD = "normal_load"
     ARRIVAL_TIME = "arrival_time"
     MILEAGE = "mileage"
     INITIAL_SOC = "initial_soc"
@@ -43,15 +41,6 @@ class PdfSpec:
     kind: PdfKind
     params: dict = field(default_factory=dict)
     support: tuple = (0.0, 1.0)
-
-    def density(self, x):
-        return density(self, x)
-
-    def atoms(self):
-        return atoms(self)
-
-    def sample(self, rng: np.random.Generator, size: int):
-        return sample(self, rng, size)
 
 
 def pdf_arrival(t, mu: float, sigma: float):
@@ -85,14 +74,6 @@ def pdf_mileage(m, mu_log: float, sigma_log: float):
     return np.exp(-((np.log(m) - mu_log) ** 2) / (2.0 * sigma_log**2)) / (SQRT_2PI * sigma_log * m)
 
 
-def lognormal_params_from_moments(mean: float, std: float) -> tuple[float, float]:
-    """Log-space (mu, sigma) of the lognormal with the given natural-unit moments."""
-    if mean <= 0.0 or std <= 0.0:
-        raise ValueError("mean and std must be positive")
-    sigma2 = math.log(1.0 + (std / mean) ** 2)
-    return math.log(mean) - 0.5 * sigma2, math.sqrt(sigma2)
-
-
 def beta_pv_pdf(alpha: float, beta: float, p_rated: float) -> PdfSpec:
     """PV power model: Beta-distributed fraction of the rated output."""
     if p_rated < 0.0:
@@ -117,13 +98,6 @@ def weibull_wt_pdf(k: float, c: float, v_in: float, v_rated: float, v_out: float
         raise ValueError("wind speeds must satisfy 0 <= cut-in < rated < cut-out")
     params = {"k": k, "c": c, "v_in": v_in, "v_rated": v_rated, "v_out": v_out, "p_rated": p_rated}
     return PdfSpec(PdfKind.WEIBULL_WT, params, (0.0, p_rated))
-
-
-def normal_load_pdf(mean: float, std: float) -> PdfSpec:
-    if mean <= 0.0 or std <= 0.0:
-        raise ValueError("load mean and std must be positive")
-    lo = max(0.0, mean - 8.0 * std)
-    return PdfSpec(PdfKind.NORMAL_LOAD, {"mean": mean, "std": std}, (lo, mean + 8.0 * std))
 
 
 def arrival_pdf(mu: float, sigma: float) -> PdfSpec:
@@ -169,9 +143,6 @@ def density(spec: PdfSpec, x):
         f_v = (k / c) * (v / c) ** (k - 1.0) * _weibull_sf(v, k, c)
         out = f_v * dv_dp
         return np.where((x > 0.0) & (x < pr), out, 0.0)
-    if spec.kind is PdfKind.NORMAL_LOAD:
-        mean, std = p["mean"], p["std"]
-        return np.exp(-((x - mean) ** 2) / (2.0 * std**2)) / (SQRT_2PI * std)
     if spec.kind is PdfKind.ARRIVAL_TIME:
         return pdf_arrival(x, p["mu"], p["sigma"])
     if spec.kind is PdfKind.MILEAGE:
@@ -200,18 +171,6 @@ def atoms(spec: PdfSpec) -> list[tuple[float, float]]:
     return []
 
 
-def total_mass(spec: PdfSpec) -> float:
-    """Integral of the density over the support plus all point masses."""
-    lo, hi = spec.support
-    mass = sum(weight for _, weight in atoms(spec))
-    if hi > lo:
-        if spec.kind is PdfKind.MILEAGE:
-            hi = np.inf
-        integral, _ = integrate.quad(lambda x: float(density(spec, x)), lo, hi, limit=200)
-        mass += integral
-    return float(mass)
-
-
 def sample(spec: PdfSpec, rng: np.random.Generator, size: int) -> np.ndarray:
     p = spec.params
     if spec.kind is PdfKind.BETA_PV:
@@ -223,8 +182,6 @@ def sample(spec: PdfSpec, rng: np.random.Generator, size: int) -> np.ndarray:
             return np.zeros(size)
         v = p["c"] * rng.weibull(p["k"], size=size)
         return _power_curve(v, p)
-    if spec.kind is PdfKind.NORMAL_LOAD:
-        return rng.normal(p["mean"], p["std"], size=size)
     if spec.kind is PdfKind.ARRIVAL_TIME:
         t = np.mod(rng.normal(p["mu"], p["sigma"], size=size), DAY_HOURS)
         return np.where(t == 0.0, DAY_HOURS, t)
@@ -246,28 +203,6 @@ def _power_curve(v: np.ndarray, p: dict) -> np.ndarray:
     ramp = pr * (v - p["v_in"]) / (p["v_rated"] - p["v_in"])
     out = np.clip(ramp, 0.0, pr)
     return np.where(v >= p["v_out"], 0.0, out)
-
-
-@dataclass(frozen=True)
-class PeriodForecast:
-    """One scheduling hour's renewable models and base-load statistics."""
-
-    period: int
-    pv_pdf: PdfSpec
-    wt_pdf: PdfSpec
-    load_mean: float
-    load_stddev: float
-
-    def __post_init__(self):
-        if not 0 <= self.period < int(DAY_HOURS):
-            raise ValueError(f"period must be an hour index 0..23, got {self.period}")
-        if self.load_mean < 0.0 or self.load_stddev < 0.0:
-            raise ValueError("load statistics must be non-negative")
-
-
-def make_forecast(period: int, pv_pdf: PdfSpec, wt_pdf: PdfSpec, load_mean: float, load_fluctuation: float) -> PeriodForecast:
-    """Build a :class:`PeriodForecast` with stddev tied to the fluctuation fraction."""
-    return PeriodForecast(period, pv_pdf, wt_pdf, load_mean, load_fluctuation * load_mean)
 
 
 @dataclass(frozen=True)

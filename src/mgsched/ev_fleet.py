@@ -3,8 +3,7 @@
 A charging session records one vehicle's arrival, travel demand and state of
 charge, plus the window of whole scheduling periods in which it may charge.
 Windows are contiguous and never cross midnight; sessions whose truncated
-window cannot absorb the full charge target are flagged (or rejected in
-strict mode).
+window cannot absorb the full charge target are flagged.
 """
 
 from __future__ import annotations
@@ -14,16 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 HORIZON = 24  # hourly periods per scheduling day
-
-
-class InfeasibleSessionError(ValueError):
-    """Raised when sessions cannot receive their required energy in-window."""
-
-    def __init__(self, ev_ids: list, message: str | None = None):
-        self.ev_ids = list(ev_ids)
-        super().__init__(
-            message or f"sessions cannot be fully charged within their windows: EVs {self.ev_ids}"
-        )
 
 
 @dataclass(frozen=True)
@@ -78,24 +67,10 @@ def soc_target(soc_initial: float, mileage: float, params: EvParams) -> float:
     return min(max(raw, params.soc_expected), params.soc_max)
 
 
-def charging_time(soc_target_val: float, soc_initial: float, params: EvParams, t_max: float | None = None) -> float:
-    """Hours of rated-power charging needed to lift the SOC gap."""
-    if soc_target_val < soc_initial:
-        raise ValueError("target SOC must not be below the initial SOC")
-    hours = (soc_target_val - soc_initial) * params.battery_capacity / (
-        params.rated_power * params.charge_efficiency
-    )
-    if t_max is not None and hours > t_max + 1e-12:
-        raise InfeasibleSessionError([], f"charging time {hours:.3f} h exceeds the {t_max} h limit")
-    return hours
-
-
 def build_windows(
     sessions: list[EvSession],
     params: EvParams,
     max_dwell: float = 6.0,
-    horizon: int = HORIZON,
-    strict: bool = False,
 ) -> list[EvSession]:
     """Attach charging windows to sessions.
 
@@ -103,8 +78,7 @@ def build_windows(
     periods, truncated at the end of the day.  ``max_dwell`` is auto-raised to
     the fleet's rated-power feasibility minimum.  Sessions that still cannot
     absorb their required energy (late arrivals cut off at midnight) have the
-    target clamped to the deliverable maximum and are flagged; with
-    ``strict=True`` they raise :class:`InfeasibleSessionError` instead.
+    target clamped to the deliverable maximum and are flagged.
     """
     if max_dwell <= 0.0:
         raise ValueError("max_dwell must be positive")
@@ -115,15 +89,13 @@ def build_windows(
     dwell = max(int(math.ceil(max_dwell)), needed, 1)
 
     out = []
-    starved = []
     for s in sessions:
-        start = min(int(math.ceil(s.arrival_hour)), horizon - 1)
-        window = tuple(range(start, min(start + dwell, horizon)))
+        start = min(int(math.ceil(s.arrival_hour)), HORIZON - 1)
+        window = tuple(range(start, min(start + dwell, HORIZON)))
         deliverable = len(window) * per_period
         if s.required_energy <= deliverable + 1e-9:
             out.append(replace(s, window=window))
         else:
-            starved.append(s.ev_id)
             capped_energy = deliverable
             capped_target = s.soc_initial + capped_energy / params.battery_capacity
             out.append(
@@ -135,8 +107,6 @@ def build_windows(
                     target_truncated=True,
                 )
             )
-    if starved and strict:
-        raise InfeasibleSessionError(starved)
     return out
 
 

@@ -9,7 +9,6 @@ ratio settles inside a narrow band.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,15 +50,13 @@ class Candidate:
 class JayaResult:
     best: Candidate
     history: np.ndarray  # best fitness per iteration (monotone non-increasing)
-    variances: np.ndarray  # population fitness variance per iteration
     restarts: np.ndarray  # bool flag per iteration
     evaluations: int
 
 
-def jaya_update(x, x_best, x_worst, r1, r2, lo=-np.inf, hi=np.inf):
-    """One JAYA move: toward the best, away from the worst, clipped to bounds."""
-    moved = x + r1 * (x_best - np.abs(x)) - r2 * (x_worst - np.abs(x))
-    return np.clip(moved, lo, hi)
+def jaya_update(x, x_best, x_worst, r1, r2):
+    """One JAYA move: toward the best, away from the worst."""
+    return x + r1 * (x_best - np.abs(x)) - r2 * (x_worst - np.abs(x))
 
 
 def restart_check(var_prev: float, var_curr: float, thr1: float = 0.99, thr2: float = 1.01) -> bool:
@@ -76,14 +73,12 @@ def optimize(
     upper: np.ndarray,
     n_binary: int = 0,
     config: JayaConfig = JayaConfig(),
-    vectorized: bool = False,
     initial: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> JayaResult:
     """Minimize ``objective`` over box-bounded continuous and binary variables.
 
-    ``objective`` maps (continuous, binary) -> fitness; with
-    ``vectorized=True`` it instead maps population arrays of shape
-    (pop, n_cont) and (pop, n_binary) to a fitness vector.  Binary variables
+    ``objective`` maps population arrays of shape (pop, n_cont) and
+    (pop, n_binary) to a fitness vector.  Binary variables
     are updated in the continuous relaxation and thresholded at 0.5.
     ``initial`` seeds one population member (warm start).  Deterministic
     given ``config.seed``.
@@ -107,15 +102,12 @@ def optimize(
         b[0] = (np.asarray(b0, dtype=float) >= 0.5).astype(float)
 
     def evaluate(xs, bs):
-        if vectorized:
-            return np.asarray(objective(xs, bs), dtype=float)
-        return np.array([objective(xs[i], bs[i]) for i in range(xs.shape[0])], dtype=float)
+        return np.asarray(objective(xs, bs), dtype=float)
 
     fitness = evaluate(x, b)
     evaluations = pop
 
     history = np.empty(config.max_iter)
-    variances = np.empty(config.max_iter)
     restarts = np.zeros(config.max_iter, dtype=bool)
     var_prev: float | None = None
     cooldown = 0
@@ -127,7 +119,7 @@ def optimize(
         r1 = rng.uniform(size=(pop, n_cont + n_binary))
         r2 = rng.uniform(size=(pop, n_cont + n_binary))
         z = np.hstack([x, b])
-        z_new = z + r1 * (z[best_i] - np.abs(z)) - r2 * (z[worst_i] - np.abs(z))
+        z_new = jaya_update(z, z[best_i], z[worst_i], r1, r2)
 
         x_new = np.clip(z_new[:, :n_cont], lower, upper)
         b_new = (np.clip(z_new[:, n_cont:], 0.0, 1.0) >= 0.5).astype(float)
@@ -160,18 +152,8 @@ def optimize(
             cooldown -= 1
 
         history[it] = fitness[best_i]
-        variances[it] = var_curr
         var_prev = var_curr
 
     best_i = int(np.argmin(fitness))
     best = Candidate(continuous=x[best_i].copy(), binary=b[best_i].copy(), fitness=float(fitness[best_i]))
-    return JayaResult(best=best, history=history, variances=variances, restarts=restarts, evaluations=evaluations)
-
-
-def write_history_csv(path, result: JayaResult) -> None:
-    """Convergence trace: iteration, best fitness, population variance, restart flag."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "best_fitness", "population_variance", "restart_flag"])
-        for i in range(result.history.size):
-            writer.writerow([i, repr(float(result.history[i])), repr(float(result.variances[i])), int(result.restarts[i])])
+    return JayaResult(best=best, history=history, restarts=restarts, evaluations=evaluations)

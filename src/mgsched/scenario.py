@@ -19,7 +19,7 @@ import numpy as np
 from mgsched import distributions as dist
 from mgsched.charging import StationParams
 from mgsched.dispatch import EssParams, MtUnit
-from mgsched.ev_fleet import EvSession, build_windows, read_sessions_csv
+from mgsched.ev_fleet import EvParams, EvSession, build_windows, read_sessions_csv
 from mgsched.jaya import JayaConfig
 from mgsched.sequences import ProbSequence, convolve, discretize
 
@@ -76,11 +76,7 @@ def validate_scenario(doc: dict) -> None:
                 "charge_price", "discharge_price", "reserve_price", "soc_start"):
         _need(ess, key, "ess")
 
-    load = doc["load"]
-    _hourly(_need(load, "mean", "load"), "load.mean")
-    fluct = _need(load, "fluctuation", "load")
-    if not 0.0 <= fluct < 1.0:
-        raise ScenarioError("load.fluctuation must lie in [0, 1)")
+    _hourly(_need(doc["load"], "mean", "load"), "load.mean")
 
     for name in ("pv", "wt"):
         block = doc[name]
@@ -105,12 +101,13 @@ def validate_scenario(doc: dict) -> None:
     pricing = doc["pricing"]
     for key in ("omega_ref", "p_ref", "price_floor", "tou"):
         _need(pricing, key, "pricing")
+    # Written as ``not x > 0`` so that NaN is rejected too.
     for key in ("peak", "flat", "offpeak"):
-        value = _need(pricing["tou"], key, "pricing.tou")
-        if value <= 0.0:
+        if not _need(pricing["tou"], key, "pricing.tou") > 0.0:
             raise ScenarioError(f"pricing.tou.{key} must be positive")
-    if pricing["p_ref"] <= 0.0:
-        raise ScenarioError("pricing.p_ref must be positive")
+    for key in ("omega_ref", "p_ref", "price_floor"):
+        if not pricing[key] > 0.0:
+            raise ScenarioError(f"pricing.{key} must be positive")
 
     for key in ("investment", "lifetime_years"):
         _need(doc["station"], key, "station")
@@ -120,7 +117,7 @@ def validate_scenario(doc: dict) -> None:
         _need(algo, key, "algorithm")
     if not 0.0 < algo["gamma"] <= 1.0:
         raise ScenarioError("algorithm.gamma must lie in (0, 1]")
-    if algo["step_q"] <= 0.0:
+    if not algo["step_q"] > 0.0:
         raise ScenarioError("algorithm.step_q must be positive")
     if not 0.0 < algo["alpha_cap"] <= 1.0:
         raise ScenarioError("algorithm.alpha_cap must lie in (0, 1]")
@@ -153,10 +150,10 @@ class ScenarioRuntime:
     units: tuple[MtUnit, ...]
     ess: EssParams
     base_load: np.ndarray
-    forecasts: tuple[dist.PeriodForecast, ...]
+    renewables: tuple[tuple[dist.PdfSpec, dist.PdfSpec], ...]  # (PV, wind) per hour
     sequences: tuple[ProbSequence, ...]
     sessions: list[EvSession]
-    ev_params: object
+    ev_params: EvParams
     station: StationParams
     tou: np.ndarray
     omega_ref: float
@@ -171,7 +168,6 @@ class ScenarioRuntime:
     ipm_tol: float
     ipm_max_iter: int
     seed: int
-    load_fluctuation: float
 
 
 def prepare(doc: dict, seed: int | None = None, iterations: int | None = None,
@@ -202,24 +198,23 @@ def prepare(doc: dict, seed: int | None = None, iterations: int | None = None,
     )
 
     base_load = _hourly(doc["load"]["mean"], "load.mean")
-    fluctuation = float(doc["load"]["fluctuation"])
     q = float(doc["algorithm"]["step_q"])
 
     pv, wt = doc["pv"], doc["wt"]
-    forecasts, sequences = [], []
+    renewables, sequences = [], []
     for h in range(HOURS):
         pv_spec = dist.beta_pv_pdf(float(pv["alpha"][h]), float(pv["beta"][h]), float(pv["p_rated"][h]))
         wt_spec = dist.weibull_wt_pdf(
             float(wt["k"][h]), float(wt["c"][h]), float(wt["v_in"]),
             float(wt["v_rated"]), float(wt["v_out"]), float(wt["p_rated"][h]),
         )
-        forecasts.append(dist.make_forecast(h, pv_spec, wt_spec, float(base_load[h]), fluctuation))
+        renewables.append((pv_spec, wt_spec))
         seq_pv = discretize(pv_spec, float(pv["p_rated"][h]), q)
         seq_wt = discretize(wt_spec, float(wt["p_rated"][h]), q)
         sequences.append(convolve(seq_pv, seq_wt))
 
     f = doc["fleet"]
-    fleet_params = dist.FleetParams(
+    ev_params = EvParams(
         battery_capacity=float(f["battery_capacity"]),
         rated_power=float(f["rated_power"]),
         charge_efficiency=float(f["charge_efficiency"]),
@@ -227,20 +222,22 @@ def prepare(doc: dict, seed: int | None = None, iterations: int | None = None,
         soc_min=float(f["soc_min"]),
         soc_max=float(f["soc_max"]),
         soc_expected=float(f["soc_expected"]),
-        arrival_mu=float(f.get("arrival_mu", 18.0)),
-        arrival_sigma=float(f.get("arrival_sigma", 3.0)),
-        mileage_log_mu=float(f.get("mileage_log_mu", 3.2)),
-        mileage_log_sigma=float(f.get("mileage_log_sigma", 0.85)),
-        soc_initial_mean=float(f.get("soc_initial_mean", 0.5)),
-        soc_initial_std=float(f.get("soc_initial_std", 0.1)),
     )
-    ev_params = fleet_params.ev_params()
     if "sessions_csv" in f:
         csv_path = Path(f["sessions_csv"])
         if not csv_path.is_absolute() and scenario_dir is not None:
             csv_path = scenario_dir / csv_path
         sessions = read_sessions_csv(csv_path)
     else:
+        fleet_params = dist.FleetParams(
+            **vars(ev_params),
+            arrival_mu=float(f["arrival_mu"]),
+            arrival_sigma=float(f["arrival_sigma"]),
+            mileage_log_mu=float(f["mileage_log_mu"]),
+            mileage_log_sigma=float(f["mileage_log_sigma"]),
+            soc_initial_mean=float(f["soc_initial_mean"]),
+            soc_initial_std=float(f["soc_initial_std"]),
+        )
         sessions = dist.sample_fleet(fleet_params, int(f["count"]), run_seed)
     sessions = build_windows(sessions, ev_params, max_dwell=float(f["max_dwell"]))
 
@@ -262,7 +259,7 @@ def prepare(doc: dict, seed: int | None = None, iterations: int | None = None,
         units=units,
         ess=ess,
         base_load=base_load,
-        forecasts=tuple(forecasts),
+        renewables=tuple(renewables),
         sequences=tuple(sequences),
         sessions=sessions,
         ev_params=ev_params,
@@ -280,5 +277,4 @@ def prepare(doc: dict, seed: int | None = None, iterations: int | None = None,
         ipm_tol=float(algo["ipm"]["tol"]),
         ipm_max_iter=int(algo["ipm"]["max_iter"]),
         seed=run_seed,
-        load_fluctuation=fluctuation,
     )

@@ -47,7 +47,7 @@ def joint_runs(baseline_doc):
         rt = sc.prepare(baseline_doc, seed=seed)
         baselines = co.compute_baselines(rt)
         outcome = co.run_joint(rt, baselines)
-        report = co.run_case(rt, co.Case.DEMAND_RESPONSE, baselines, joint=outcome)
+        report = co.run_case(rt, baselines, joint=outcome)
         runs[seed] = {
             "rt": rt,
             "baselines": baselines,
@@ -106,7 +106,8 @@ def test_chance_constraint_monte_carlo_coverage(joint_runs):
     reserve = sched.r_mt.sum(axis=0) + sched.p_res
     worst = 1.0
     for t in range(24):
-        samples = dist.sample(rt.forecasts[t].pv_pdf, rng, 100_000) + dist.sample(rt.forecasts[t].wt_pdf, rng, 100_000)
+        pv, wt = rt.renewables[t]
+        samples = dist.sample(pv, rng, 100_000) + dist.sample(wt, rng, 100_000)
         e_t = expectation(rt.sequences[t])
         coverage = float(np.mean(reserve[t] >= e_t - samples))
         assert coverage >= rt.gamma - 0.02, f"period {t}: coverage {coverage}"
@@ -172,8 +173,7 @@ def test_jaya_sphere_and_knapsack():
     lo, hi = np.full(10, -5.0), np.full(10, 5.0)
     sphere_hits = 0
     for seed in range(100):
-        res = optimize(sphere, lo, hi, config=JayaConfig(pop_size=100, max_iter=1500, seed=seed),
-                       vectorized=True)
+        res = optimize(sphere, lo, hi, config=JayaConfig(pop_size=100, max_iter=1500, seed=seed))
         sphere_hits += res.best.fitness < 1e-3
     assert sphere_hits >= 95
 
@@ -191,7 +191,7 @@ def test_jaya_sphere_and_knapsack():
     knapsack_hits = 0
     for seed in range(100):
         res = optimize(lambda x, b: knapsack(b), np.zeros(0), np.zeros(0), n_binary=8,
-                       config=JayaConfig(pop_size=100, max_iter=500, seed=seed), vectorized=True)
+                       config=JayaConfig(pop_size=100, max_iter=500, seed=seed))
         knapsack_hits += abs(res.best.fitness - best) < 1e-9
     assert knapsack_hits >= 95
     _report("jaya-benchmarks", f"sphere {sphere_hits}/100 below 1e-3, knapsack {knapsack_hits}/100 optimal")

@@ -31,7 +31,6 @@ def small_rt(small_doc):
 def test_real_time_price_reference_point():
     profile = co.real_time_price(np.array([30.0]), np.array([50.0]), 80.0, 0.6)
     assert profile.prices[0] == pytest.approx(0.6)
-    assert profile.origin is co.PriceOrigin.REAL_TIME
 
 
 def test_real_time_price_scales_with_load():
@@ -53,7 +52,7 @@ def test_real_time_price_validates():
 
 def _record(index, f1, f2):
     return co.IterationRecord(index=index, prices=None, plan=None, schedule=None,
-                              mg_cost=f1, ev_cost=f2)
+                              mg_cost=f1, ev_cost=f2, caps=None)
 
 
 def test_select_single_record():
@@ -134,15 +133,19 @@ def test_ev_only_uniform_price_oracle(small_doc):
     assert outcome.ev_cost == pytest.approx(expected, abs=1e-6)
 
 
-def test_case_collapses_when_responses_match(small_rt):
-    base = co.compute_baselines(small_rt)
-    synthetic = co.JointOutcome(
+def _baseline_as_joint(rt, base):
+    """A joint outcome whose one iteration is the grid-tariff baseline."""
+    return co.JointOutcome(
         records=[co.IterationRecord(0, base.shadow_prices, base.plan, base.schedule,
-                                    base.mg_cost_ideal, base.ev_cost_under_mg)],
+                                    base.mg_cost_ideal, base.ev_cost_under_mg, co.loose_caps(rt))],
         baselines=base,
         selected_index=0,
     )
-    report = co.run_case(small_rt, co.Case.DEMAND_RESPONSE, base, joint=synthetic)
+
+
+def test_case_collapses_when_responses_match(small_rt):
+    base = co.compute_baselines(small_rt)
+    report = co.run_case(small_rt, base, joint=_baseline_as_joint(small_rt, base))
     assert report.ev_load_dr == pytest.approx(report.ev_load_no_dr)
     assert report.price_dr == pytest.approx(report.price_no_dr)
     assert report.peak_to_valley_dr == report.peak_to_valley_no_dr
@@ -151,7 +154,7 @@ def test_case_collapses_when_responses_match(small_rt):
 
 def test_case_report_consistency(small_rt):
     base = co.compute_baselines(small_rt)
-    report = co.run_case(small_rt, co.Case.NO_DEMAND_RESPONSE, base)
+    report = co.run_case(small_rt, base, joint=_baseline_as_joint(small_rt, base))
     total = small_rt.base_load + report.ev_load_no_dr
     assert report.peak_to_valley_no_dr == pytest.approx(float(total.max() - total.min()))
 

@@ -9,10 +9,10 @@ from mgsched.dispatch import (
     MtUnit,
     UpperInputs,
     UpperSchedule,
+    _population_fitness,
     constraint_residuals,
     encode_schedule,
     net_operating_cost,
-    penalized_fitness,
     repair_and_close_balance,
     solve_upper,
     write_schedule_csv,
@@ -127,7 +127,7 @@ def test_repair_leaves_deficit_for_penalty():
     sched = repair_and_close_balance(x, b, inputs)
     res = constraint_residuals(sched, inputs)
     assert res["balance"] == pytest.approx(55.0)  # 90 - 35
-    fitness = penalized_fitness(sched, inputs)
+    fitness = _population_fitness(x[None, :], b[None, :], inputs)[0]
     cost = net_operating_cost(sched, inputs.ev_load, inputs.prices, inputs.units, inputs.ess)
     assert fitness == pytest.approx(cost + 1000.0 * 55.0)
 
@@ -157,39 +157,12 @@ def test_storage_trajectory_returns_to_boundary():
     assert np.all(sched.soc >= 32.0 - 1e-9) and np.all(sched.soc <= 160.0 + 1e-9)
 
 
-def test_penalized_fitness_counts_boundary_gap():
-    # consistent trajectory that ends 5 kWh above the boundary state: the
-    # 500-unit penalty is the only violation term
-    inputs = _inputs((MT3,), ESS, [50.0, 50.0])
-    p_ch = 5.0 / 0.95
-    sched = _schedule(
-        (MT3,), 2,
-        on=np.ones((1, 2)),
-        p_mt=np.array([[50.0 + p_ch, 50.0]]),
-        p_ch=np.array([p_ch, 0.0]),
-        soc=np.array([96.0, 101.0, 101.0]),
-    )
-    assert constraint_residuals(sched, inputs)["soc_boundary"] == pytest.approx(5.0)
-    fitness = penalized_fitness(sched, inputs, weight=100.0)
-    cost = net_operating_cost(sched, inputs.ev_load, inputs.prices, inputs.units, inputs.ess)
-    assert fitness == pytest.approx(cost + 500.0)
-
-
 def test_penalized_fitness_feasible_equals_cost():
     inputs = _inputs((MT3,), NO_ESS, [50.0, 50.0])
     x, b = _genes(inputs, [[50.0, 50.0]], [[0.0, 0.0]], np.zeros(2), np.zeros(2), np.zeros(2), [[1.0, 1.0]])
     sched = repair_and_close_balance(x, b, inputs)
     cost = net_operating_cost(sched, inputs.ev_load, inputs.prices, inputs.units, inputs.ess)
-    assert penalized_fitness(sched, inputs) == pytest.approx(cost)
-
-
-def test_shrinking_violation_lowers_fitness():
-    inputs = _inputs((MT3,), ESS, [50.0])
-    worse = _schedule((MT3,), 1, on=np.ones((1, 1)), p_mt=np.array([[50.0]]),
-                      soc=np.array([96.0, 104.0]))
-    better = _schedule((MT3,), 1, on=np.ones((1, 1)), p_mt=np.array([[50.0]]),
-                       soc=np.array([96.0, 100.0]))
-    assert penalized_fitness(better, inputs) < penalized_fitness(worse, inputs)
+    assert _population_fitness(x[None, :], b[None, :], inputs)[0] == pytest.approx(cost)
 
 
 def test_solve_upper_matches_enumeration_on_toy():

@@ -1,15 +1,12 @@
 """EV session arithmetic and window construction."""
 
-import numpy as np
 import pytest
 
 from mgsched.distributions import FleetParams, sample_fleet
 from mgsched.ev_fleet import (
     EvParams,
     EvSession,
-    InfeasibleSessionError,
     build_windows,
-    charging_time,
     read_sessions_csv,
     soc_target,
     write_sessions_csv,
@@ -67,34 +64,6 @@ def test_soc_target_rejects_out_of_band_initial():
         soc_target(0.1, 10.0, PARAMS)
 
 
-def test_charging_time_hand_value():
-    assert charging_time(0.9, 0.4, PARAMS) == pytest.approx(9.5 / 7.125)
-
-
-def test_charging_time_zero_gap():
-    assert charging_time(0.63, 0.63, PARAMS) == 0.0
-
-
-def test_charging_time_energy_identity():
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        s0 = rng.uniform(0.2, 0.9)
-        s1 = rng.uniform(s0, 1.0)
-        hours = charging_time(s1, s0, PARAMS)
-        delivered = hours * PARAMS.rated_power * PARAMS.charge_efficiency
-        assert delivered == pytest.approx((s1 - s0) * PARAMS.battery_capacity, abs=1e-12)
-
-
-def test_charging_time_linear_in_gap():
-    base = charging_time(0.6, 0.4, PARAMS)
-    assert charging_time(0.8, 0.4, PARAMS) == pytest.approx(2.0 * base)
-
-
-def test_charging_time_enforces_limit():
-    with pytest.raises(InfeasibleSessionError):
-        charging_time(1.0, 0.2, PARAMS, t_max=1.0)
-
-
 def _session(arrival, required=7.0, soc0=0.5):
     target = soc0 + required / PARAMS.battery_capacity
     return EvSession(
@@ -114,12 +83,6 @@ def test_window_truncated_at_midnight():
     assert s.target_truncated
     # target clamped to what one period can deliver
     assert s.required_energy == pytest.approx(7.5 * 0.95)
-
-
-def test_window_strict_mode_raises():
-    with pytest.raises(InfeasibleSessionError) as err:
-        build_windows([_session(23.2, required=7.6)], PARAMS, max_dwell=6.0, strict=True)
-    assert err.value.ev_ids == [0]
 
 
 def test_window_dwell_auto_raised_to_feasibility():

@@ -43,6 +43,29 @@ def test_bad_gamma_rejected(baseline_doc):
         sc.validate_scenario(doc)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("pricing.p_ref", float("nan")),
+        ("pricing.omega_ref", 0.0),
+        ("pricing.omega_ref", float("nan")),
+        ("pricing.price_floor", 0.0),
+        ("pricing.price_floor", float("nan")),
+        ("pricing.tou.peak", float("nan")),
+        ("algorithm.step_q", float("nan")),
+    ],
+)
+def test_nonpositive_or_nan_value_rejected(baseline_doc, field, value):
+    doc = copy.deepcopy(baseline_doc)
+    *parents, key = field.split(".")
+    section = doc
+    for name in parents:
+        section = section[name]
+    section[key] = value
+    with pytest.raises(sc.ScenarioError, match=field):
+        sc.validate_scenario(doc)
+
+
 def test_tou_profile_blocks():
     prices = sc.tou_prices(0.83, 0.62, 0.17)
     assert np.all(prices[11:15] == 0.83)
@@ -65,13 +88,6 @@ def test_prepare_override_hooks(baseline_doc):
     rt = sc.prepare(baseline_doc, seed=9, iterations=2)
     assert rt.seed == 9
     assert rt.pricing_iterations == 2
-
-
-def test_forecast_stddev_follows_fluctuation(baseline_doc):
-    rt = sc.prepare(baseline_doc, seed=1)
-    for h, forecast in enumerate(rt.forecasts):
-        assert forecast.period == h
-        assert forecast.load_stddev == pytest.approx(0.1 * forecast.load_mean)
 
 
 def test_explicit_session_table(tmp_path, baseline_doc):
@@ -114,6 +130,16 @@ def test_cli_validate_rejects_garbage(tmp_path, capsys):
     bad.write_text("{not json")
     assert cli.main(["validate", "--scenario", str(bad)]) == 1
     assert "invalid scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "strategies", "cases"])
+def test_cli_reports_invalid_scenario(baseline_doc, tmp_path, capsys, command):
+    doc = copy.deepcopy(baseline_doc)
+    doc["pricing"]["p_ref"] = float("nan")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main([command, "--scenario", str(bad), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "invalid scenario: pricing.p_ref must be positive\n"
 
 
 def test_cli_run_writes_outputs(quick_scenario, tmp_path, capsys):
