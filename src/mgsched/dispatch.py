@@ -8,6 +8,15 @@ any un-coverable reserve shortfall remain as penalty terms for the search.
 The storage trajectory construction clamps each period's end energy into the
 band from which the boundary state is still reachable at rated power, which
 pins the final state exactly.
+
+Repair and fitness are the search's hot path, so everything that does not
+depend on the candidates is built once per :class:`UpperInputs`.  Their
+floating-point operations, operands and order are part of the results: the
+pricing loop feeds each schedule back into the next search, so a last-bit
+change in one fitness value can send the search down another path and move a
+day's cost by several percent.  A rewrite for speed must therefore keep every
+operation bit for bit, down to the sign of zero that ``np.maximum`` and
+``np.minimum`` return on ties and the memory layout that a sum reduces over.
 """
 
 from __future__ import annotations
@@ -104,6 +113,20 @@ class UpperInputs:
     penalty_weight: float = 1000.0
     renewable_expectation: np.ndarray = field(init=False)
     reserve_requirement: np.ndarray = field(init=False)
+    # Constants of repair and fitness, built once.  Per-unit columns are
+    # (U, 1) so that they broadcast against (P, U, T) populations.
+    p_min: np.ndarray = field(init=False)
+    p_max: np.ndarray = field(init=False)
+    fixed_fuel: np.ndarray = field(init=False)
+    fuel_slope: np.ndarray = field(init=False)
+    reserve_cost: np.ndarray = field(init=False)
+    startup_cost: np.ndarray = field(init=False)
+    demand: np.ndarray = field(init=False)  # (T,) base plus EV load, kW
+    revenue: float = field(init=False)  # EV energy bill, $
+    fuel_order: tuple[int, ...] = field(init=False)  # units, cheapest fuel first
+    reserve_order: tuple = field(init=False)  # "ess" and units, cheapest reserve first
+    lo_reach: np.ndarray = field(init=False)  # (T,) end-of-period storage band from
+    hi_reach: np.ndarray = field(init=False)  # which soc_start is reachable at rated power
 
     def __post_init__(self):
         self.base_load = np.asarray(self.base_load, dtype=float)
@@ -116,6 +139,22 @@ class UpperInputs:
         self.reserve_requirement = np.array(
             [min_reserve_for_confidence(c, self.gamma) for c in self.sequences]
         )
+
+        units, ess = self.units, self.ess
+        for name in ("p_min", "p_max", "fixed_fuel", "fuel_slope", "reserve_cost", "startup_cost"):
+            setattr(self, name, np.array([getattr(u, name) for u in units])[:, None])
+        self.demand = self.base_load + self.ev_load
+        self.revenue = float(np.dot(self.ev_load, self.prices))
+        self.fuel_order = tuple(sorted(range(len(units)), key=lambda i: (units[i].fuel_slope, i)))
+        sources = [("ess", ess.reserve_price)] + [(n, u.reserve_cost) for n, u in enumerate(units)]
+        self.reserve_order = tuple(
+            source for source, _ in sorted(sources, key=lambda item: (item[1], str(item[0])))
+        )
+        remaining = t - np.arange(1, t + 1)
+        gain_max = ess.eta_ch * ess.p_ch_max  # kWh gained per full-charge period
+        drop_max = ess.p_dc_max / ess.eta_dc  # kWh shed per full-discharge period
+        self.lo_reach = np.maximum(ess.soc_min, ess.soc_start - remaining * gain_max)
+        self.hi_reach = np.minimum(ess.soc_max, ess.soc_start + remaining * drop_max)
 
     @property
     def n_periods(self) -> int:
@@ -194,38 +233,54 @@ def _repair_population(
 
     Shapes: (P, U, T) for unit arrays, (P, T) for storage/system arrays.
     Returns repaired arrays plus per-candidate penalty magnitudes.
+
+    Boxes are written as ``np.minimum(np.maximum(...))``, which costs a
+    fraction of ``np.clip`` on arrays this small.  Both ufuncs return their
+    second operand on a tie, which only shows between zeros of opposite sign.
+    Boxes with Python-scalar bounds take ``x`` second, as ``np.clip`` returns
+    ``x`` there; the others take the bound second, as ``np.clip`` does with
+    full-size array bounds.  Genes never hold -0.0 (the search's own box
+    returns its +0.0 bound), so no such tie reaches the array-bounded boxes.
     """
-    units, ess = inputs.units, inputs.ess
-    pop, n_units, t = p_mt.shape
+    ess = inputs.ess
+    pop, _, t = p_mt.shape
+    p_max = inputs.p_max
 
-    p_min = np.array([u.p_min for u in units])[None, :, None]
-    p_max = np.array([u.p_max for u in units])[None, :, None]
-
-    p_mt = on * np.clip(p_mt, p_min, p_max)
-    r_mt = np.clip(r_mt, 0.0, on * p_max - p_mt)
+    p_mt = on * np.minimum(np.maximum(p_mt, inputs.p_min), p_max)
+    r_mt = np.minimum(np.maximum(r_mt, 0.0), on * p_max - p_mt)
 
     # Storage: mutual exclusion, power limits, then an energy trajectory that
     # stays inside the capacity band and can always return to the boundary
     # state at rated power.
     keep_ch = p_ch >= p_dc
-    p_ch = np.where(keep_ch, np.clip(p_ch, 0.0, ess.p_ch_max), 0.0)
-    p_dc = np.where(keep_ch, 0.0, np.clip(p_dc, 0.0, ess.p_dc_max))
+    p_ch = np.where(keep_ch, np.minimum(ess.p_ch_max, np.maximum(0.0, p_ch)), 0.0)
+    p_dc = np.where(keep_ch, 0.0, np.minimum(ess.p_dc_max, np.maximum(0.0, p_dc)))
 
     gain_max = ess.eta_ch * ess.p_ch_max  # kWh gained per full-charge period
-    drop_max = ess.p_dc_max / ess.eta_dc  # kWh shed per full-discharge period
     delta = ess.eta_ch * p_ch - p_dc / ess.eta_dc
 
-    soc = np.empty((pop, t + 1))
-    soc[:, 0] = ess.soc_start
-    remaining = t - np.arange(1, t + 1)
-    lo_reach = np.maximum(ess.soc_min, ess.soc_start - remaining * gain_max)
-    hi_reach = np.minimum(ess.soc_max, ess.soc_start + remaining * drop_max)
-    for k in range(t):
-        step_lo = np.maximum(soc[:, k] - drop_max, lo_reach[k])
-        step_hi = np.minimum(soc[:, k] + gain_max, hi_reach[k])
-        soc[:, k + 1] = np.clip(soc[:, k] + delta[:, k], step_lo, step_hi)
+    # Each period's end energy is boxed into [lo_reach, min(soc + gain_max,
+    # hi_reach)].  The step's own floor, soc - p_dc_max / eta_dc, needs no
+    # operation: after the power box and the mutual exclusion,
+    # delta >= -p_dc_max / eta_dc, and rounded addition is monotone, so
+    # soc + delta never lies below it.  The recursion runs time-major so that
+    # every step reads and writes contiguous rows in place.
+    soc_t = np.empty((t + 1, pop))
+    soc_t[0] = ess.soc_start
+    rows = list(soc_t)
+    step_hi = np.empty(pop)
+    for cur, nxt, step, lo, hi in zip(rows, rows[1:], delta.T, inputs.lo_reach.tolist(),
+                                      inputs.hi_reach.tolist()):
+        np.add(cur, step, out=nxt)
+        np.maximum(nxt, lo, out=nxt)
+        np.add(cur, gain_max, out=step_hi)
+        np.minimum(step_hi, hi, out=step_hi)
+        np.minimum(nxt, step_hi, out=nxt)
+    # Candidate-major and C-ordered again: the sums over periods in the
+    # fitness reduce in an order that depends on the memory layout.
+    soc = np.ascontiguousarray(soc_t.T)
 
-    moves = np.diff(soc, axis=1)
+    moves = soc[:, 1:] - soc[:, :-1]
     p_ch = np.maximum(moves, 0.0) / ess.eta_ch
     p_dc = -np.minimum(moves, 0.0) * ess.eta_dc
 
@@ -235,17 +290,19 @@ def _repair_population(
         ess.eta_dc * (soc[:, :-1] - ess.soc_min), ess.p_dc_max - p_dc
     )
     res_cap = np.maximum(res_cap, 0.0)
-    p_res = np.clip(p_res, 0.0, res_cap)
+    p_res = np.minimum(np.maximum(p_res, 0.0), res_cap)
 
     # Deficit lift: close any supply shortfall from committed units' free
     # headroom, cheapest marginal fuel first.  Remaining deficit is penalized
     # (it means the commitment pattern itself is short).
     supply = p_mt.sum(axis=1) + p_dc - p_ch + inputs.renewable_expectation[None, :]
-    demand = inputs.base_load[None, :] + inputs.ev_load[None, :]
+    demand = inputs.demand
     deficit = np.maximum(demand - supply, 0.0)
-    for n in sorted(range(n_units), key=lambda i: (units[i].fuel_slope, i)):
-        headroom = on[:, n, :] * p_max[0, n, 0] - p_mt[:, n, :] - r_mt[:, n, :]
-        add = np.minimum(deficit, np.maximum(headroom, 0.0))
+    # A lift changes only its own unit's rows, so every unit's headroom can
+    # be taken before the loop.
+    headroom = np.maximum(on * p_max - p_mt - r_mt, 0.0)
+    for n in inputs.fuel_order:
+        add = np.minimum(deficit, headroom[:, n, :])
         p_mt[:, n, :] += add
         deficit -= add
 
@@ -253,17 +310,13 @@ def _repair_population(
     # remaining headroom so the chance constraint binds instead of penalizing.
     need = inputs.reserve_requirement[None, :] - p_res - r_mt.sum(axis=1)
     np.maximum(need, 0.0, out=need)
-    order = sorted(
-        [("ess", ess.reserve_price)] + [(n, units[n].reserve_cost) for n in range(n_units)],
-        key=lambda item: (item[1], str(item[0])),
-    )
-    for source, _ in order:
+    headroom = np.maximum(on * p_max - p_mt - r_mt, 0.0)
+    for source in inputs.reserve_order:
         if source == "ess":
             add = np.minimum(need, res_cap - p_res)
             p_res += add
         else:
-            headroom = on[:, source, :] * p_max[0, source, 0] - p_mt[:, source, :] - r_mt[:, source, :]
-            add = np.minimum(need, np.maximum(headroom, 0.0))
+            add = np.minimum(need, headroom[:, source, :])
             r_mt[:, source, :] += add
         need -= add
     reserve_short = need
@@ -272,28 +325,32 @@ def _repair_population(
     p_un = np.maximum(supply - demand, 0.0)
     deficit = np.maximum(demand - supply, 0.0)
 
-    startup = np.maximum(np.diff(on, axis=2, prepend=0.0), 0.0)
+    # Start-ups: positive steps of the commitment, from off before period 0.
+    # Commitments are 0/1, so each difference is exact.
+    startup = np.empty_like(on)
+    startup[:, :, 0] = on[:, :, 0]
+    np.subtract(on[:, :, 1:], on[:, :, :-1], out=startup[:, :, 1:])
+    np.maximum(startup, 0.0, out=startup)
     return p_mt, r_mt, p_ch, p_dc, p_res, p_un, soc, startup, deficit, reserve_short
 
 
 def _population_fitness(x: np.ndarray, b: np.ndarray, inputs: UpperInputs) -> np.ndarray:
-    units, ess = inputs.units, inputs.ess
+    ess = inputs.ess
     pop = x.shape[0]
-    n_units, t = len(units), inputs.n_periods
+    n_units, t = len(inputs.units), inputs.n_periods
     on = b.reshape(pop, n_units, t)
     p_mt, r_mt, p_ch, p_dc, p_res, p_un, soc, startup, deficit, short = _repair_population(
         *_split_genes(x, n_units, t), on, inputs
     )
 
-    revenue = float(np.dot(inputs.ev_load, inputs.prices))
-    cost = -revenue + (
+    cost = -inputs.revenue + (
         ess.discharge_price * p_dc + ess.charge_price * p_ch + ess.reserve_price * p_res
     ).sum(axis=1)
-    fixed = np.array([u.fixed_fuel for u in units])[None, :, None]
-    slope = np.array([u.fuel_slope for u in units])[None, :, None]
-    res_c = np.array([u.reserve_cost for u in units])[None, :, None]
-    start_c = np.array([u.startup_cost for u in units])[None, :, None]
-    cost += (res_c * r_mt + start_c * startup + on * (fixed + slope * p_mt)).sum(axis=(1, 2))
+    cost += (
+        inputs.reserve_cost * r_mt
+        + inputs.startup_cost * startup
+        + on * (inputs.fixed_fuel + inputs.fuel_slope * p_mt)
+    ).sum(axis=(1, 2))
 
     penalty = inputs.penalty_weight * (deficit.sum(axis=1) + short.sum(axis=1))
     return cost + penalty
@@ -319,9 +376,8 @@ def repair_and_close_balance(
 
 def constraint_residuals(sched: UpperSchedule, inputs: UpperInputs) -> dict[str, float]:
     """Largest violation of each dispatch constraint (kW or kWh)."""
-    units, ess = inputs.units, inputs.ess
-    p_min = np.array([u.p_min for u in units])[:, None]
-    p_max = np.array([u.p_max for u in units])[:, None]
+    ess = inputs.ess
+    p_min, p_max = inputs.p_min, inputs.p_max
 
     mt_low = np.maximum(sched.on * p_min - sched.p_mt, 0.0)
     mt_high = np.maximum(sched.p_mt - sched.on * p_max, 0.0)

@@ -15,6 +15,8 @@ from enum import Enum
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from mgsched.ev_fleet import EvParams, EvSession, soc_target
+
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Hours in the scheduling day; arrival times live on (0, DAY_HOURS].
@@ -207,34 +209,15 @@ def _power_curve(v: np.ndarray, p: dict) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FleetParams:
-    """EV technical parameters plus behaviour distributions for fleet sampling."""
+    """EV ratings plus behaviour distributions for fleet sampling."""
 
-    battery_capacity: float  # kWh
-    rated_power: float  # kW
-    charge_efficiency: float
-    e_per_100km: float  # kWh per 100 km
-    soc_min: float
-    soc_max: float
-    soc_expected: float
+    ev: EvParams
     arrival_mu: float  # hours
     arrival_sigma: float
     mileage_log_mu: float
     mileage_log_sigma: float
     soc_initial_mean: float = 0.5
     soc_initial_std: float = 0.1
-
-    def ev_params(self):
-        from mgsched.ev_fleet import EvParams
-
-        return EvParams(
-            battery_capacity=self.battery_capacity,
-            rated_power=self.rated_power,
-            charge_efficiency=self.charge_efficiency,
-            e_per_100km=self.e_per_100km,
-            soc_min=self.soc_min,
-            soc_max=self.soc_max,
-            soc_expected=self.soc_expected,
-        )
 
 
 def sample_fleet(fleet: FleetParams, count: int, seed: int) -> list:
@@ -246,15 +229,13 @@ def sample_fleet(fleet: FleetParams, count: int, seed: int) -> list:
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    from mgsched.ev_fleet import EvSession, soc_target
-
     rng = np.random.default_rng(seed)
     arrivals = sample(arrival_pdf(fleet.arrival_mu, fleet.arrival_sigma), rng, count)
     mileages = sample(mileage_pdf(fleet.mileage_log_mu, fleet.mileage_log_sigma), rng, count)
-    soc_spec = initial_soc_pdf(fleet.soc_initial_mean, fleet.soc_initial_std, fleet.soc_min, fleet.soc_expected)
+    ev = fleet.ev
+    soc_spec = initial_soc_pdf(fleet.soc_initial_mean, fleet.soc_initial_std, ev.soc_min, ev.soc_expected)
     soc_initial = sample(soc_spec, rng, count)
 
-    ev = fleet.ev_params()
     sessions = []
     for i in range(count):
         target = soc_target(float(soc_initial[i]), float(mileages[i]), ev)

@@ -54,9 +54,18 @@ class JayaResult:
     evaluations: int
 
 
-def jaya_update(x, x_best, x_worst, r1, r2):
-    """One JAYA move: toward the best, away from the worst."""
-    return x + r1 * (x_best - np.abs(x)) - r2 * (x_worst - np.abs(x))
+def jaya_update(x, x_best, x_worst, r1, r2, out=None):
+    """One JAYA move: toward the best, away from the worst.
+
+    Evaluates ``x + r1 * (x_best - |x|) - r2 * (x_worst - |x|)`` in that
+    order.  Given ``out``, the move is built there and in the buffer of
+    ``|x|``: a population-sized temporary costs more than the arithmetic.
+    """
+    abs_x = np.abs(x)
+    scratch = None if out is None else abs_x
+    toward = np.multiply(r1, np.subtract(x_best, abs_x, out=out), out=out)
+    away = np.multiply(r2, np.subtract(x_worst, abs_x, out=scratch), out=scratch)
+    return np.subtract(np.add(x, toward, out=out), away, out=out)
 
 
 def restart_check(var_prev: float, var_curr: float, thr1: float = 0.99, thr2: float = 1.01) -> bool:
@@ -94,12 +103,17 @@ def optimize(
     rng = np.random.default_rng(config.seed)
     pop = config.pop_size
 
-    x = rng.uniform(lower, upper, size=(pop, n_cont)) if n_cont else np.zeros((pop, 0))
-    b = rng.integers(0, 2, size=(pop, n_binary)).astype(float)
+    # One row per candidate, continuous genes first; x and b are views, so a
+    # move updates both in one pass and acceptance copies whole rows.
+    z = np.empty((pop, n_cont + n_binary))
+    x, b = z[:, :n_cont], z[:, n_cont:]
+    if n_cont:
+        x[:] = rng.uniform(lower, upper, size=(pop, n_cont))
+    b[:] = rng.integers(0, 2, size=(pop, n_binary))
     if initial is not None:
         x0, b0 = initial
-        x[0] = np.clip(np.asarray(x0, dtype=float), lower, upper)
-        b[0] = (np.asarray(b0, dtype=float) >= 0.5).astype(float)
+        x[0] = np.minimum(np.maximum(np.asarray(x0, dtype=float), lower), upper)
+        b[0] = np.asarray(b0, dtype=float) >= 0.5
 
     def evaluate(xs, bs):
         return np.asarray(objective(xs, bs), dtype=float)
@@ -112,24 +126,27 @@ def optimize(
     var_prev: float | None = None
     cooldown = 0
 
+    z_new = np.empty_like(z)
+    x_new, b_new = z_new[:, :n_cont], z_new[:, n_cont:]
+    r1, r2 = np.empty_like(z), np.empty_like(z)
     for it in range(config.max_iter):
         best_i = int(np.argmin(fitness))
         worst_i = int(np.argmax(fitness))
 
-        r1 = rng.uniform(size=(pop, n_cont + n_binary))
-        r2 = rng.uniform(size=(pop, n_cont + n_binary))
-        z = np.hstack([x, b])
-        z_new = jaya_update(z, z[best_i], z[worst_i], r1, r2)
-
-        x_new = np.clip(z_new[:, :n_cont], lower, upper)
-        b_new = (np.clip(z_new[:, n_cont:], 0.0, 1.0) >= 0.5).astype(float)
+        rng.random(out=r1)
+        rng.random(out=r2)
+        jaya_update(z, z[best_i], z[worst_i], r1, r2, out=z_new)
+        # Box the continuous genes (the bound wins a tie, as in np.clip with
+        # array bounds) and threshold the relaxed binaries.
+        np.maximum(x_new, lower, out=x_new)
+        np.minimum(x_new, upper, out=x_new)
+        np.greater_equal(b_new, 0.5, out=b_new)
 
         f_new = evaluate(x_new, b_new)
         evaluations += pop
         improved = f_new < fitness
-        x[improved] = x_new[improved]
-        b[improved] = b_new[improved]
-        fitness[improved] = f_new[improved]
+        np.copyto(z, z_new, where=improved[:, None])
+        np.copyto(fitness, f_new, where=improved)
 
         var_curr = float(np.var(fitness))
         best_i = int(np.argmin(fitness))
@@ -143,7 +160,7 @@ def optimize(
             if n_cont:
                 x[chosen] = rng.uniform(lower, upper, size=(k, n_cont))
             if n_binary:
-                b[chosen] = rng.integers(0, 2, size=(k, n_binary)).astype(float)
+                b[chosen] = rng.integers(0, 2, size=(k, n_binary))
             fitness[chosen] = evaluate(x[chosen], b[chosen])
             evaluations += k
             var_curr = float(np.var(fitness))

@@ -51,6 +51,14 @@ def _need(doc: dict, key: str, context: str):
     return doc[key]
 
 
+def _number(doc: dict, key: str, context: str):
+    """``doc[key]`` when it is a real number (``bool`` is not one)."""
+    value = _need(doc, key, context)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{context}.{key} must be a number")
+    return value
+
+
 def _hourly(values, context: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape != (HOURS,):
@@ -68,13 +76,14 @@ def validate_scenario(doc: dict) -> None:
     if not isinstance(units, list) or not units:
         raise ScenarioError("mt_units must be a non-empty list")
     for i, u in enumerate(units):
-        for key in ("name", "startup_cost", "fixed_fuel", "fuel_slope", "reserve_cost", "p_min", "p_max"):
-            _need(u, key, f"mt_units[{i}]")
+        _need(u, "name", f"mt_units[{i}]")
+        for key in ("startup_cost", "fixed_fuel", "fuel_slope", "reserve_cost", "p_min", "p_max"):
+            _number(u, key, f"mt_units[{i}]")
 
     ess = doc["ess"]
     for key in ("soc_min", "soc_max", "p_ch_max", "p_dc_max", "eta_ch", "eta_dc",
                 "charge_price", "discharge_price", "reserve_price", "soc_start"):
-        _need(ess, key, "ess")
+        _number(ess, key, "ess")
 
     _hourly(_need(doc["load"], "mean", "load"), "load.mean")
 
@@ -86,7 +95,7 @@ def validate_scenario(doc: dict) -> None:
     for key in ("k", "c"):
         _hourly(_need(doc["wt"], key, "wt"), f"wt.{key}")
     for key in ("v_in", "v_rated", "v_out"):
-        _need(doc["wt"], key, "wt")
+        _number(doc["wt"], key, "wt")
 
     fleet = doc["fleet"]
     has_table = "sessions_csv" in fleet
@@ -96,25 +105,26 @@ def validate_scenario(doc: dict) -> None:
         keys += ["count", "arrival_mu", "arrival_sigma", "mileage_log_mu", "mileage_log_sigma",
                  "soc_initial_mean", "soc_initial_std"]
     for key in keys:
-        _need(fleet, key, "fleet")
+        _number(fleet, key, "fleet")
 
     pricing = doc["pricing"]
-    for key in ("omega_ref", "p_ref", "price_floor", "tou"):
-        _need(pricing, key, "pricing")
+    _need(pricing, "tou", "pricing")
     # Written as ``not x > 0`` so that NaN is rejected too.
     for key in ("peak", "flat", "offpeak"):
-        if not _need(pricing["tou"], key, "pricing.tou") > 0.0:
+        if not _number(pricing["tou"], key, "pricing.tou") > 0.0:
             raise ScenarioError(f"pricing.tou.{key} must be positive")
     for key in ("omega_ref", "p_ref", "price_floor"):
-        if not pricing[key] > 0.0:
+        if not _number(pricing, key, "pricing") > 0.0:
             raise ScenarioError(f"pricing.{key} must be positive")
 
     for key in ("investment", "lifetime_years"):
-        _need(doc["station"], key, "station")
+        _number(doc["station"], key, "station")
 
     algo = doc["algorithm"]
-    for key in ("gamma", "step_q", "alpha_cap", "pricing_iterations", "penalty_weight", "jaya", "ipm"):
+    for key in ("jaya", "ipm"):
         _need(algo, key, "algorithm")
+    for key in ("gamma", "step_q", "alpha_cap", "pricing_iterations", "penalty_weight"):
+        _number(algo, key, "algorithm")
     if not 0.0 < algo["gamma"] <= 1.0:
         raise ScenarioError("algorithm.gamma must lie in (0, 1]")
     if not algo["step_q"] > 0.0:
@@ -123,10 +133,14 @@ def validate_scenario(doc: dict) -> None:
         raise ScenarioError("algorithm.alpha_cap must lie in (0, 1]")
     if int(algo["pricing_iterations"]) < 1:
         raise ScenarioError("algorithm.pricing_iterations must be at least 1")
+    jaya = algo["jaya"]
     for key in ("pop_size", "max_iter"):
-        _need(algo["jaya"], key, "algorithm.jaya")
+        _number(jaya, key, "algorithm.jaya")
+    for key in ("seed", "thr1", "thr2", "restart_fraction", "restart_cooldown"):
+        if key in jaya:
+            _number(jaya, key, "algorithm.jaya")
     for key in ("tol", "max_iter"):
-        _need(algo["ipm"], key, "algorithm.ipm")
+        _number(algo["ipm"], key, "algorithm.ipm")
     if "seed" not in doc:
         raise ScenarioError("missing 'seed' in scenario")
 
@@ -230,7 +244,7 @@ def prepare(doc: dict, seed: int | None = None, iterations: int | None = None,
         sessions = read_sessions_csv(csv_path)
     else:
         fleet_params = dist.FleetParams(
-            **vars(ev_params),
+            ev=ev_params,
             arrival_mu=float(f["arrival_mu"]),
             arrival_sigma=float(f["arrival_sigma"]),
             mileage_log_mu=float(f["mileage_log_mu"]),

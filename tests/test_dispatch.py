@@ -9,7 +9,10 @@ from mgsched.dispatch import (
     MtUnit,
     UpperInputs,
     UpperSchedule,
+    _gene_bounds,
     _population_fitness,
+    _repair_population,
+    _split_genes,
     constraint_residuals,
     encode_schedule,
     net_operating_cost,
@@ -209,3 +212,184 @@ def test_schedule_csv_layout(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("period,reserve_requirement,p_ch,p_dc,p_res,p_un,soc_start,soc_end")
     assert len(lines) == 3
+
+
+# --- bitwise oracle for repair and fitness ---------------------------------
+#
+# The pricing loop feeds every schedule into the next search, so a last-bit
+# change in repair or fitness moves a day's cost by several percent.  The two
+# functions below are the straightforward formulation (np.clip, np.diff, a
+# full step box in the storage recursion, constants rebuilt per call); the
+# production code must agree with them bit for bit.
+
+
+def _reference_repair(p_mt, r_mt, p_ch, p_dc, p_res, on, inputs):
+    units, ess = inputs.units, inputs.ess
+    pop, n_units, t = p_mt.shape
+
+    p_min = np.array([u.p_min for u in units])[None, :, None]
+    p_max = np.array([u.p_max for u in units])[None, :, None]
+
+    p_mt = on * np.clip(p_mt, p_min, p_max)
+    r_mt = np.clip(r_mt, 0.0, on * p_max - p_mt)
+
+    keep_ch = p_ch >= p_dc
+    p_ch = np.where(keep_ch, np.clip(p_ch, 0.0, ess.p_ch_max), 0.0)
+    p_dc = np.where(keep_ch, 0.0, np.clip(p_dc, 0.0, ess.p_dc_max))
+
+    gain_max = ess.eta_ch * ess.p_ch_max
+    drop_max = ess.p_dc_max / ess.eta_dc
+    delta = ess.eta_ch * p_ch - p_dc / ess.eta_dc
+
+    soc = np.empty((pop, t + 1))
+    soc[:, 0] = ess.soc_start
+    remaining = t - np.arange(1, t + 1)
+    lo_reach = np.maximum(ess.soc_min, ess.soc_start - remaining * gain_max)
+    hi_reach = np.minimum(ess.soc_max, ess.soc_start + remaining * drop_max)
+    for k in range(t):
+        step_lo = np.maximum(soc[:, k] - drop_max, lo_reach[k])
+        step_hi = np.minimum(soc[:, k] + gain_max, hi_reach[k])
+        soc[:, k + 1] = np.clip(soc[:, k] + delta[:, k], step_lo, step_hi)
+
+    moves = np.diff(soc, axis=1)
+    p_ch = np.maximum(moves, 0.0) / ess.eta_ch
+    p_dc = -np.minimum(moves, 0.0) * ess.eta_dc
+
+    res_cap = np.minimum(ess.eta_dc * (soc[:, :-1] - ess.soc_min), ess.p_dc_max - p_dc)
+    res_cap = np.maximum(res_cap, 0.0)
+    p_res = np.clip(p_res, 0.0, res_cap)
+
+    supply = p_mt.sum(axis=1) + p_dc - p_ch + inputs.renewable_expectation[None, :]
+    demand = inputs.base_load[None, :] + inputs.ev_load[None, :]
+    deficit = np.maximum(demand - supply, 0.0)
+    for n in sorted(range(n_units), key=lambda i: (units[i].fuel_slope, i)):
+        headroom = on[:, n, :] * p_max[0, n, 0] - p_mt[:, n, :] - r_mt[:, n, :]
+        add = np.minimum(deficit, np.maximum(headroom, 0.0))
+        p_mt[:, n, :] += add
+        deficit -= add
+
+    need = inputs.reserve_requirement[None, :] - p_res - r_mt.sum(axis=1)
+    np.maximum(need, 0.0, out=need)
+    order = sorted(
+        [("ess", ess.reserve_price)] + [(n, units[n].reserve_cost) for n in range(n_units)],
+        key=lambda item: (item[1], str(item[0])),
+    )
+    for source, _ in order:
+        if source == "ess":
+            add = np.minimum(need, res_cap - p_res)
+            p_res += add
+        else:
+            headroom = on[:, source, :] * p_max[0, source, 0] - p_mt[:, source, :] - r_mt[:, source, :]
+            add = np.minimum(need, np.maximum(headroom, 0.0))
+            r_mt[:, source, :] += add
+        need -= add
+    reserve_short = need
+
+    supply = p_mt.sum(axis=1) + p_dc - p_ch + inputs.renewable_expectation[None, :]
+    p_un = np.maximum(supply - demand, 0.0)
+    deficit = np.maximum(demand - supply, 0.0)
+
+    startup = np.maximum(np.diff(on, axis=2, prepend=0.0), 0.0)
+    return p_mt, r_mt, p_ch, p_dc, p_res, p_un, soc, startup, deficit, reserve_short
+
+
+def _reference_fitness(x, b, inputs):
+    units, ess = inputs.units, inputs.ess
+    pop = x.shape[0]
+    n_units, t = len(units), inputs.n_periods
+    on = b.reshape(pop, n_units, t)
+    p_mt, r_mt, p_ch, p_dc, p_res, p_un, soc, startup, deficit, short = _reference_repair(
+        *_split_genes(x, n_units, t), on, inputs
+    )
+    revenue = float(np.dot(inputs.ev_load, inputs.prices))
+    cost = -revenue + (
+        ess.discharge_price * p_dc + ess.charge_price * p_ch + ess.reserve_price * p_res
+    ).sum(axis=1)
+    fixed = np.array([u.fixed_fuel for u in units])[None, :, None]
+    slope = np.array([u.fuel_slope for u in units])[None, :, None]
+    res_c = np.array([u.reserve_cost for u in units])[None, :, None]
+    start_c = np.array([u.startup_cost for u in units])[None, :, None]
+    cost += (res_c * r_mt + start_c * startup + on * (fixed + slope * p_mt)).sum(axis=(1, 2))
+    penalty = inputs.penalty_weight * (deficit.sum(axis=1) + short.sum(axis=1))
+    return cost + penalty
+
+
+# Storage small against its power, so the energy limits and reach bands bind.
+TIGHT_ESS = EssParams(10.0, 50.0, 40.0, 40.0, 0.95, 0.9, 0.3, 0.5, 0.02, 30.0)
+NO_CHARGE_ESS = EssParams(32.0, 160.0, 0.0, 40.0, 0.95, 0.95, 0.3, 0.5, 0.02, 96.0)
+NO_DISCHARGE_ESS = EssParams(32.0, 160.0, 40.0, 0.0, 0.95, 0.95, 0.3, 0.5, 0.02, 96.0)
+ORACLE_ESS = (ESS, TIGHT_ESS, NO_CHARGE_ESS, NO_DISCHARGE_ESS, NO_ESS)
+ORACLE_UNITS = ((MT1, MT2, MT3), (MT3,), (MtUnit("Z", 0.5, 0.8, 0.3, 0.04, 0.0, 20.0), MT1))
+
+
+def _oracle_inputs(rng, case):
+    units = ORACLE_UNITS[case % len(ORACLE_UNITS)]
+    ess = ORACLE_ESS[case % len(ORACLE_ESS)]
+    sequences = tuple(
+        ProbSequence(2.5, rng.dirichlet(np.ones(int(rng.integers(1, 12))))) for _ in range(24)
+    )
+    return _inputs(units, ess, rng.uniform(0.0, 110.0, 24), ev_load=rng.uniform(0.0, 30.0, 24),
+                   prices=rng.uniform(0.1, 0.9, 24), sequences=sequences,
+                   gamma=float(rng.uniform(0.5, 0.99)))
+
+
+def _oracle_population(rng, inputs, pop, style):
+    """Genes as the search produces them: inside their bounds, never -0.0."""
+    lo, hi, n_binary = _gene_bounds(inputs)
+    t = inputs.n_periods
+    x = rng.uniform(lo, hi, size=(pop, lo.size))
+    at_bound = rng.random(x.shape)
+    x = np.where(at_bound < 0.15, lo, np.where(at_bound > 0.85, hi, x))
+    b = rng.integers(0, 2, size=(pop, n_binary)).astype(float)
+    ut = n_binary
+    p_ch = x[:, 2 * ut : 2 * ut + t]
+    p_dc = x[:, 2 * ut + t : 2 * ut + 2 * t]
+    tie = rng.random((pop, t)) < 0.2
+    p_dc[tie] = p_ch[tie]
+    if style == "off":
+        b[:] = 0.0
+    elif style == "on":
+        b[:] = 1.0
+    elif style == "charge":  # full charge all day: onto soc_max and the reach band
+        p_ch[:] = hi[2 * ut : 2 * ut + t]
+        p_dc[:] = 0.0
+    elif style == "discharge":  # full discharge all day: onto soc_min
+        p_ch[:] = 0.0
+        p_dc[:] = hi[2 * ut + t : 2 * ut + 2 * t]
+    return x, b
+
+
+def _as_search_views(x, b):
+    """The same genes laid out as the search hands them over: column views of
+    one population array."""
+    z = np.concatenate([x, b], axis=1)
+    return z[:, : x.shape[1]], z[:, x.shape[1] :]
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    return got.tobytes() == want.tobytes()
+
+
+def test_repair_and_fitness_match_reference_bitwise():
+    rng = np.random.default_rng(20261018)
+    styles = ("random", "off", "on", "charge", "discharge")
+    for case in range(240):
+        inputs = _oracle_inputs(rng, case)
+        pop = 1 if case % 7 == 0 else int(rng.integers(2, 61))
+        x, b = _oracle_population(rng, inputs, pop, styles[case % len(styles)])
+        n_units, t = len(inputs.units), inputs.n_periods
+        xv, bv = _as_search_views(x, b)
+
+        got = _repair_population(*_split_genes(xv, n_units, t), bv.reshape(pop, n_units, t), inputs)
+        want = _reference_repair(*_split_genes(x, n_units, t), b.reshape(pop, n_units, t), inputs)
+        for name, g, w in zip(("p_mt", "r_mt", "p_ch", "p_dc", "p_res", "p_un", "soc",
+                               "startup", "deficit", "reserve_short"), got, want):
+            assert _same_bits(g, w), (case, name)
+        assert _same_bits(_population_fitness(xv, bv, inputs), _reference_fitness(x, b, inputs)), case
+
+        if pop == 1:
+            sched = repair_and_close_balance(x[0], b[0], inputs)
+            for name, w in zip(("p_mt", "r_mt", "p_ch", "p_dc", "p_res", "p_un", "soc", "startup"),
+                               want):
+                assert _same_bits(getattr(sched, name), w[0]), (case, name)

@@ -9,6 +9,7 @@ from scipy import integrate
 from scipy.stats import chisquare
 
 from mgsched import distributions as dist
+from mgsched.ev_fleet import EvParams
 
 
 def test_arrival_density_at_mean():
@@ -96,13 +97,15 @@ def test_density_nonnegative_on_support():
 
 
 FLEET = dist.FleetParams(
-    battery_capacity=19.0,
-    rated_power=7.5,
-    charge_efficiency=0.95,
-    e_per_100km=15.0,
-    soc_min=0.2,
-    soc_max=1.0,
-    soc_expected=0.9,
+    ev=EvParams(
+        battery_capacity=19.0,
+        rated_power=7.5,
+        charge_efficiency=0.95,
+        e_per_100km=15.0,
+        soc_min=0.2,
+        soc_max=1.0,
+        soc_expected=0.9,
+    ),
     arrival_mu=17.47,
     arrival_sigma=3.41,
     mileage_log_mu=3.623091,

@@ -23,13 +23,7 @@ PARAMS = EvParams(
 )
 
 FLEET = FleetParams(
-    battery_capacity=19.0,
-    rated_power=7.5,
-    charge_efficiency=0.95,
-    e_per_100km=15.0,
-    soc_min=0.2,
-    soc_max=1.0,
-    soc_expected=0.9,
+    ev=PARAMS,
     arrival_mu=17.47,
     arrival_sigma=3.41,
     mileage_log_mu=3.623091,

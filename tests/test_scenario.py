@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,42 @@ def test_nonpositive_or_nan_value_rejected(baseline_doc, field, value):
     section[key] = value
     with pytest.raises(sc.ScenarioError, match=field):
         sc.validate_scenario(doc)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("pricing.p_ref", "80"),
+        ("mt_units[0].p_max", None),
+        ("ess.soc_max", "160"),
+        ("algorithm.jaya.pop_size", "60"),
+        ("fleet.count", True),
+        ("pricing.tou.peak", "0.83"),
+        ("station.investment", [3000.0]),
+        ("algorithm.gamma", None),
+        ("algorithm.jaya.restart_cooldown", "100"),
+        ("algorithm.ipm.tol", False),
+        ("wt.v_in", "3"),
+    ],
+)
+def test_non_number_rejected_by_name(baseline_doc, field, value):
+    doc = copy.deepcopy(baseline_doc)
+    *parents, key = field.replace("[0]", ".0").split(".")
+    section = doc
+    for name in parents:
+        section = section[int(name) if name.isdigit() else name]
+    section[key] = value
+    with pytest.raises(sc.ScenarioError, match=rf"^{re.escape(field)} must be a number$"):
+        sc.validate_scenario(doc)
+
+
+def test_cli_reports_non_number_on_one_line(baseline_doc, tmp_path, capsys):
+    doc = copy.deepcopy(baseline_doc)
+    doc["pricing"]["p_ref"] = "80"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--scenario", str(bad)]) == 1
+    assert capsys.readouterr().err == "invalid scenario: pricing.p_ref must be a number\n"
 
 
 def test_tou_profile_blocks():
