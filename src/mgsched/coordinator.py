@@ -5,7 +5,9 @@ announced prices, lets the load-proportional real-time price respond, then
 re-dispatches the microgrid against the new EV load and prices.  The joint
 operating point is selected afterwards as the iteration whose (microgrid
 cost, fleet cost) pair lies closest to the ideal point formed by each side's
-stand-alone optimum.
+stand-alone optimum.  The microgrid side of that point is exact (a HiGHS MILP
+of the deterministic dispatch); JAYA is the dispatch search of every pricing
+iteration, and the first one starts from the exact schedule.
 
 Strategy and case runs reuse the same machinery:
 
@@ -41,6 +43,7 @@ from mgsched.dispatch import (
     constraint_residuals,
     net_operating_cost,
     solve_upper,
+    solve_upper_exact,
 )
 from mgsched.jaya import JayaConfig
 from mgsched.scenario import ScenarioRuntime
@@ -194,19 +197,15 @@ def compute_baselines(rt: ScenarioRuntime) -> BaselineOutcomes:
     """Stand-alone optima: the grid-tariff charging plan and the dispatch that
     serves it, costed under each side's own pricing view.
 
-    The dispatch is polished with warm-started repeat solves so the ideal
-    microgrid cost is as converged as the pricing-loop iterates it anchors.
+    The microgrid's stand-alone optimum is exact: the deterministic dispatch
+    is solved as a MILP (:func:`~mgsched.dispatch.solve_upper_exact`), so the
+    ideal point does not depend on a search seed.  JAYA remains the dispatch
+    search inside the pricing loop, which starts from this schedule.
     """
     plan, _ = _solve_lower(rt, rt.tou, loose_caps(rt))
     shadow = real_time_price(plan.ev_load, rt.base_load, rt.p_ref, rt.omega_ref, rt.price_floor)
     inputs = upper_inputs(rt, plan.ev_load, shadow.prices)
-    schedule, mg_cost_ideal = solve_upper(inputs, _jaya_for(rt, salt=7919))
-    for extra in (1, 2):
-        refined, refined_cost = solve_upper(
-            inputs, _jaya_for(rt, salt=7919 + extra), warm_start=schedule
-        )
-        if refined_cost < mg_cost_ideal:
-            schedule, mg_cost_ideal = refined, refined_cost
+    schedule, mg_cost_ideal = solve_upper_exact(inputs)
     opcost = net_operating_cost(schedule, plan.ev_load, np.zeros_like(rt.tou), rt.units, rt.ess)
     return BaselineOutcomes(
         plan=plan,

@@ -17,6 +17,10 @@ change in one fitness value can send the search down another path and move a
 day's cost by several percent.  A rewrite for speed must therefore keep every
 operation bit for bit, down to the sign of zero that ``np.maximum`` and
 ``np.minimum`` return on ties and the memory layout that a sum reduces over.
+
+:func:`solve_upper_exact` solves the same deterministic model exactly, as a
+MILP with HiGHS.  It gives the microgrid's stand-alone optimum (the ideal
+point) and is the oracle that the search is tested against.
 """
 
 from __future__ import annotations
@@ -25,11 +29,14 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from mgsched.jaya import JayaConfig, optimize
 from mgsched.sequences import ProbSequence, expectation, min_reserve_for_confidence
 
 RESIDUAL_TOL = 1e-6
+MILP_REL_GAP = 1e-9  # relative optimality gap of the exact dispatch
 
 
 class InfeasibleScheduleError(RuntimeError):
@@ -452,6 +459,98 @@ def solve_upper(
             f"no feasible schedule within {config.max_iter} iterations; worst residuals {offenders}",
             residuals,
         )
+    cost = net_operating_cost(sched, inputs.ev_load, inputs.prices, inputs.units, inputs.ess)
+    return sched, cost
+
+
+def solve_upper_exact(inputs: UpperInputs) -> tuple[UpperSchedule, float]:
+    """The deterministic dispatch solved exactly as a MILP with HiGHS.
+
+    After the reserve transform the dispatch is linear apart from the unit
+    commitments and the storage's charge/discharge mode, which become
+    binaries.  Start-ups are continuous with ``su >= on_t - on_{t-1}`` (off
+    before the day), and ``on * p_mt`` is ``p_mt`` because the headroom cap
+    forces ``p_mt = 0`` on an uncommitted unit.  The objective is
+    :func:`net_operating_cost`; the returned cost is that function evaluated on
+    the schedule, so it compares directly with :func:`solve_upper`.
+
+    Raises :class:`InfeasibleScheduleError` when HiGHS does not prove an
+    optimum or the schedule fails :data:`RESIDUAL_TOL`.
+    """
+    ess, t = inputs.ess, inputs.n_periods
+    ut = len(inputs.units) * t
+    # Column layout: four (U, T) blocks, five (T,) blocks, then soc (T+1,).
+    col = np.arange(4 * ut + 6 * t + 1)
+    on, su, p_mt, r_mt = (col[k * ut : (k + 1) * ut].reshape(-1, t) for k in range(4))
+    p_ch, p_dc, p_res, p_un, mode = (col[4 * ut + k * t : 4 * ut + (k + 1) * t] for k in range(5))
+    soc = col[4 * ut + 5 * t :]
+
+    unit_row = np.arange(ut).reshape(-1, t)  # one row per unit and period
+    hour_row = np.arange(t)  # one row per period
+    sum_row = np.broadcast_to(hour_row, on.shape)  # every unit into its period's row
+    net_load = inputs.demand - inputs.renewable_expectation
+    # (rows, lower bound, upper bound, [(row, column, coefficient), ...])
+    blocks = [
+        # generator boxes: on * p_min <= p_mt, and the headroom cap
+        # p_mt + r_mt <= on * p_max (which also bounds p_mt)
+        (ut, -np.inf, 0.0, [(unit_row, on, inputs.p_min), (unit_row, p_mt, -1.0)]),
+        (ut, -np.inf, 0.0, [(unit_row, p_mt, 1.0), (unit_row, r_mt, 1.0), (unit_row, on, -inputs.p_max)]),
+        (ut, 0.0, np.inf, [(unit_row, su, 1.0), (unit_row, on, -1.0), (unit_row[:, 1:], on[:, :-1], 1.0)]),
+        # storage: SOC recursion and one mode per period
+        (t, 0.0, 0.0, [(hour_row, soc[1:], 1.0), (hour_row, soc[:-1], -1.0),
+                       (hour_row, p_ch, -ess.eta_ch), (hour_row, p_dc, 1.0 / ess.eta_dc)]),
+        (t, -np.inf, 0.0, [(hour_row, p_ch, 1.0), (hour_row, mode, -ess.p_ch_max)]),
+        (t, -np.inf, ess.p_dc_max, [(hour_row, p_dc, 1.0), (hour_row, mode, ess.p_dc_max)]),
+        # storage reserve: energy above the floor and unused discharge rating
+        (t, -np.inf, -ess.eta_dc * ess.soc_min, [(hour_row, p_res, 1.0), (hour_row, soc[:-1], -ess.eta_dc)]),
+        (t, -np.inf, ess.p_dc_max, [(hour_row, p_res, 1.0), (hour_row, p_dc, 1.0)]),
+        (t, inputs.reserve_requirement, np.inf, [(sum_row, r_mt, 1.0), (hour_row, p_res, 1.0)]),
+        # balance, with any surplus dumped into p_un
+        (t, net_load, net_load, [(sum_row, p_mt, 1.0), (hour_row, p_dc, 1.0),
+                                 (hour_row, p_ch, -1.0), (hour_row, p_un, -1.0)]),
+    ]
+    rows, cols, vals, lbs, ubs = [], [], [], [], []
+    first = 0
+    for count, lb, ub, terms in blocks:
+        for row, column, coef in terms:
+            rows.append((first + row).ravel())
+            cols.append(column.ravel())
+            vals.append(np.broadcast_to(coef, column.shape).ravel())
+        lbs.append(np.broadcast_to(lb, count))
+        ubs.append(np.broadcast_to(ub, count))
+        first += count
+    a = sparse.csr_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(first, col.size)
+    )
+
+    lo, hi, c = np.zeros(col.size), np.full(col.size, np.inf), np.zeros(col.size)
+    hi[on], hi[mode], hi[su] = 1.0, 1.0, 1.0
+    hi[p_mt], hi[r_mt] = inputs.p_max, inputs.p_max
+    hi[p_ch], hi[p_dc], hi[p_res] = ess.p_ch_max, ess.p_dc_max, ess.p_dc_max
+    lo[soc], hi[soc] = ess.soc_min, ess.soc_max
+    lo[soc[[0, -1]]] = hi[soc[[0, -1]]] = ess.soc_start
+    c[on], c[su] = inputs.fixed_fuel, inputs.startup_cost
+    c[p_mt], c[r_mt] = inputs.fuel_slope, inputs.reserve_cost
+    c[p_ch], c[p_dc], c[p_res] = ess.charge_price, ess.discharge_price, ess.reserve_price
+    integrality = np.zeros(col.size)
+    integrality[on] = integrality[mode] = 1
+
+    res = milp(c, constraints=LinearConstraint(a, np.concatenate(lbs), np.concatenate(ubs)),
+               integrality=integrality, bounds=Bounds(lo, hi), options={"mip_rel_gap": MILP_REL_GAP})
+    if res.status != 0:
+        raise InfeasibleScheduleError(f"exact dispatch: HiGHS status {res.status}, {res.message}", {})
+    # HiGHS may return a value a rounding error outside its bounds (-6e-14
+    # for an idle charge), so box every variable before reading it.
+    x = np.minimum(np.maximum(res.x, lo), hi)
+    commit = np.round(x[on])
+    startup = np.maximum(np.diff(commit, axis=1, prepend=0.0), 0.0)
+    sched = UpperSchedule(
+        on=commit, startup=startup, p_mt=x[p_mt], r_mt=x[r_mt], p_ch=x[p_ch], p_dc=x[p_dc],
+        p_res=x[p_res], p_un=x[p_un], soc=x[soc],
+    )
+    residuals = constraint_residuals(sched, inputs)
+    if max(residuals.values()) > RESIDUAL_TOL:
+        raise InfeasibleScheduleError(f"exact dispatch: residuals {residuals}", residuals)
     cost = net_operating_cost(sched, inputs.ev_load, inputs.prices, inputs.units, inputs.ess)
     return sched, cost
 

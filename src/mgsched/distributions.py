@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import betaln, ndtr, ndtri, xlog1py, xlogy
 
 from mgsched.ev_fleet import EvParams, EvSession, soc_target
 
@@ -132,9 +132,14 @@ def density(spec: PdfSpec, x):
         pr = p["p_rated"]
         if pr == 0.0:
             return np.zeros_like(x)
-        from scipy.stats import beta as beta_dist
-
-        return beta_dist.pdf(x / pr, p["alpha"], p["beta"]) / pr
+        # Beta density of the output fraction in closed form (no scipy.stats
+        # import on the run path); the support's end points carry no mass.
+        a, b = p["alpha"], p["beta"]
+        u = x / pr
+        inside = (u > 0.0) & (u < 1.0)
+        u = np.where(inside, u, 0.5)
+        log_pdf = xlogy(a - 1.0, u) + xlog1py(b - 1.0, -u) - betaln(a, b)
+        return np.where(inside, np.exp(log_pdf), 0.0) / pr
     if spec.kind is PdfKind.WEIBULL_WT:
         pr = p["p_rated"]
         if pr == 0.0:

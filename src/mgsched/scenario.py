@@ -51,19 +51,46 @@ def _need(doc: dict, key: str, context: str):
     return doc[key]
 
 
+def _is_number(value) -> bool:
+    """A real number; ``bool``, strings and ``null`` are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(doc: dict, key: str, context: str):
-    """``doc[key]`` when it is a real number (``bool`` is not one)."""
+    """``doc[key]`` when it is a real number."""
     value = _need(doc, key, context)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ScenarioError(f"{context}.{key} must be a number")
     return value
 
 
 def _hourly(values, context: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (HOURS,):
+    if not isinstance(values, (list, tuple)) or len(values) != HOURS:
         raise ScenarioError(f"{context} must list exactly {HOURS} hourly values")
-    return arr
+    for h, value in enumerate(values):
+        if not _is_number(value):
+            raise ScenarioError(f"{context}[{h}] must be a number")
+    return np.array(values, dtype=float)
+
+
+def _check_ranges(doc: dict) -> None:
+    """The ranges that :class:`MtUnit` and :class:`EssParams` require, named by
+    scenario field.  Written as ``not (...)`` so that NaN is rejected too."""
+    for i, u in enumerate(doc["mt_units"]):
+        for key in ("startup_cost", "fixed_fuel", "fuel_slope", "reserve_cost", "p_min"):
+            if not u[key] >= 0.0:
+                raise ScenarioError(f"mt_units[{i}].{key} must be non-negative")
+        if not u["p_min"] <= u["p_max"]:
+            raise ScenarioError(f"mt_units[{i}].p_min must not exceed p_max")
+    ess = doc["ess"]
+    for key in ("soc_min", "p_ch_max", "p_dc_max"):
+        if not ess[key] >= 0.0:
+            raise ScenarioError(f"ess.{key} must be non-negative")
+    if not ess["soc_min"] <= ess["soc_start"] <= ess["soc_max"]:
+        raise ScenarioError("ess.soc_start must lie in [soc_min, soc_max]")
+    for key in ("eta_ch", "eta_dc"):
+        if not 0.0 < ess[key] <= 1.0:
+            raise ScenarioError(f"ess.{key} must lie in (0, 1]")
 
 
 def validate_scenario(doc: dict) -> None:
@@ -84,6 +111,7 @@ def validate_scenario(doc: dict) -> None:
     for key in ("soc_min", "soc_max", "p_ch_max", "p_dc_max", "eta_ch", "eta_dc",
                 "charge_price", "discharge_price", "reserve_price", "soc_start"):
         _number(ess, key, "ess")
+    _check_ranges(doc)
 
     _hourly(_need(doc["load"], "mean", "load"), "load.mean")
 

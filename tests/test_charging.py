@@ -1,7 +1,6 @@
 """Charging LP construction and the interior-point solver, checked against a
 brute-force vertex-enumeration oracle."""
 
-import copy
 import itertools
 
 import numpy as np
@@ -209,28 +208,9 @@ def test_singular_kkt_climbs_the_regularization_ladder():
     assert info["gap"] <= 1e-8
 
 
-def _baseline_scaled(count):
-    """Packaged baseline with ``count`` EVs and its microgrid's kW/kWh
-    quantities scaled by the fleet-size ratio, so the feed limits keep up."""
-    doc = copy.deepcopy(sc.load_scenario(sc.baseline_scenario_path()))
-    factor = count / doc["fleet"]["count"]
-    doc["fleet"]["count"] = count
-    for unit in doc["mt_units"]:
-        for key in ("p_min", "p_max", "startup_cost", "fixed_fuel"):
-            unit[key] *= factor
-    for key in ("soc_min", "soc_max", "soc_start", "p_ch_max", "p_dc_max"):
-        doc["ess"][key] *= factor
-    doc["load"]["mean"] = [v * factor for v in doc["load"]["mean"]]
-    for source in ("pv", "wt"):
-        doc[source]["p_rated"] = [v * factor for v in doc[source]["p_rated"]]
-    doc["pricing"]["p_ref"] *= factor
-    doc["algorithm"]["step_q"] *= factor
-    return doc
-
-
 @pytest.mark.parametrize("count", [150, 500])
-def test_production_fleet_matches_highs(count):
-    rt = sc.prepare(_baseline_scaled(count), seed=11)
+def test_production_fleet_matches_highs(count, baseline_scaled):
+    rt = sc.prepare(baseline_scaled(count), seed=11)
     lp = build_lp(rt.sessions, rt.ev_params, rt.tou, co.loose_caps(rt), rt.station)
     assert sparse.issparse(lp.G)
     assert lp.G.nnz == 5 * lp.n_vars

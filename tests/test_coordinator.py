@@ -2,6 +2,7 @@
 
 import copy
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from mgsched import coordinator as co
 from mgsched import scenario as sc
 from mgsched.charging import StructuralInfeasibilityError, build_lp, charging_cost
-from mgsched.dispatch import net_operating_cost
+from mgsched.dispatch import RESIDUAL_TOL, constraint_residuals, net_operating_cost
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +142,26 @@ def _baseline_as_joint(rt, base):
         baselines=base,
         selected_index=0,
     )
+
+
+def test_ideal_point_does_not_depend_on_the_search_seed(small_rt):
+    other = replace(small_rt, jaya=replace(small_rt.jaya, seed=small_rt.jaya.seed + 1))
+    a = co.compute_baselines(small_rt)
+    b = co.compute_baselines(other)
+    assert a.mg_cost_ideal == b.mg_cost_ideal
+    assert np.array_equal(a.schedule.p_mt, b.schedule.p_mt)
+
+
+def test_large_fleet_input_100005_gets_a_feasible_schedule(baseline_scaled):
+    # the benchmark's large_fleet scenario and its input 100005: feasible,
+    # but a JAYA dispatch on it once ended 3.5e-4 kW short of the balance
+    doc = baseline_scaled(150)
+    doc["algorithm"]["pricing_iterations"] = 3
+    rt = sc.prepare(doc, seed=100005)
+    outcome = co.run_joint(rt)
+    selected = outcome.selected
+    inputs = co.upper_inputs(rt, selected.plan.ev_load, selected.prices.prices)
+    assert max(constraint_residuals(selected.schedule, inputs).values()) <= RESIDUAL_TOL
 
 
 def test_case_collapses_when_responses_match(small_rt):

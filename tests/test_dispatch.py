@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from mgsched import coordinator as co
+from mgsched import scenario as sc
 from mgsched.dispatch import (
     EssParams,
     InfeasibleScheduleError,
@@ -18,6 +20,7 @@ from mgsched.dispatch import (
     net_operating_cost,
     repair_and_close_balance,
     solve_upper,
+    solve_upper_exact,
     write_schedule_csv,
 )
 from mgsched.jaya import JayaConfig
@@ -176,6 +179,42 @@ def test_solve_upper_matches_enumeration_on_toy():
     assert cost == pytest.approx(oracle, abs=1e-6)
     assert sched.on.tolist() == [[1.0, 1.0]]
     assert sched.p_mt[0] == pytest.approx([20.0, 20.0], abs=1e-6)
+
+
+def test_solve_upper_exact_matches_enumeration_on_toy():
+    inputs = _inputs((MT1,), NO_ESS, [20.0, 20.0])
+    sched, cost = solve_upper_exact(inputs)
+    assert cost == pytest.approx(1.2 + 2 * (1.6 + 0.35 * 20.0), abs=1e-9)
+    assert sched.on.tolist() == [[1.0, 1.0]]
+    assert sched.startup.tolist() == [[1.0, 0.0]]
+    assert sched.p_mt[0] == pytest.approx([20.0, 20.0], abs=1e-9)
+
+
+@pytest.mark.parametrize("startup_cost, on, cost", [
+    (1.2, [1.0, 0.0, 1.0], 2 * 1.2 + 2 * 1.6 + 0.35 * 40.0),  # restart after the idle hour
+    (10.0, [1.0, 1.0, 1.0], 10.0 + 3 * 1.6 + 0.35 * 45.0),  # idle at p_min, surplus dumped
+])
+def test_solve_upper_exact_prices_start_ups(startup_cost, on, cost):
+    unit = MtUnit("MT", startup_cost, 1.6, 0.35, 0.04, 5.0, 35.0)
+    sched, got = solve_upper_exact(_inputs((unit,), NO_ESS, [20.0, 0.0, 20.0]))
+    assert sched.on.tolist() == [on]
+    assert got == pytest.approx(cost, abs=1e-9)
+
+
+def test_solve_upper_exact_never_charges_and_discharges_at_once():
+    # storage paid to charge would cycle both ways in one hour without the
+    # mode binary
+    paid = EssParams(32.0, 160.0, 40.0, 40.0, 0.95, 0.95, -0.2, 0.0, 0.02, 96.0)
+    inputs = _inputs((MT3,), paid, [30.0] * 4)
+    sched, _ = solve_upper_exact(inputs)
+    assert max(constraint_residuals(sched, inputs).values()) <= 1e-9
+    assert np.all(sched.p_ch >= 0.0) and np.all(sched.p_dc >= 0.0)
+
+
+def test_solve_upper_exact_reports_infeasibility():
+    inputs = _inputs((MT1,), NO_ESS, [200.0])  # beyond total capacity
+    with pytest.raises(InfeasibleScheduleError, match="HiGHS status"):
+        solve_upper_exact(inputs)
 
 
 def test_solve_upper_zero_load_stays_dark():
@@ -393,3 +432,32 @@ def test_repair_and_fitness_match_reference_bitwise():
             for name, w in zip(("p_mt", "r_mt", "p_ch", "p_dc", "p_res", "p_un", "soc", "startup"),
                                want):
                 assert _same_bits(getattr(sched, name), w[0]), (case, name)
+
+
+# ---------------------------------------------------------------------------
+# The exact MILP as an oracle for the JAYA search on the packaged scenario
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [1, 4, 8])
+def test_jaya_never_beats_the_exact_dispatch(seed):
+    rt = sc.prepare(sc.load_scenario(sc.baseline_scenario_path()), seed=seed, iterations=3)
+    outcome = co.run_joint(rt)
+    base = outcome.baselines
+    baseline_inputs = co.upper_inputs(rt, base.plan.ev_load, base.shadow_prices.prices)
+    _, cold_cost = solve_upper(baseline_inputs, rt.jaya)
+    solves = [("baseline, cold JAYA", baseline_inputs, cold_cost)] + [
+        (f"iteration {r.index}", co.upper_inputs(rt, r.plan.ev_load, r.prices.prices), r.mg_cost)
+        for r in outcome.records
+    ]
+    exact_costs = []
+    for name, inputs, jaya_cost in solves:
+        sched, exact_cost = solve_upper_exact(inputs)
+        exact_costs.append(exact_cost)
+        assert max(constraint_residuals(sched, inputs).values()) <= 1e-9, name
+        # both models state the same problem, so no feasible JAYA schedule
+        # can cost less than the proven optimum
+        assert jaya_cost >= exact_cost - 1e-9, name
+        gap = (jaya_cost - exact_cost) / abs(exact_cost)
+        print(f"seed {seed} {name}: JAYA {jaya_cost:.2f} $, MILP {exact_cost:.2f} $, gap {gap:.2%}")
+    assert exact_costs[0] == base.mg_cost_ideal

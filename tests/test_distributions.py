@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.stats import beta as beta_dist
 from scipy.stats import chisquare
 
 from mgsched import distributions as dist
@@ -88,6 +89,20 @@ def test_total_mass_is_one(spec):
     integral, _ = integrate.quad(lambda x: float(dist.density(spec, x)), lo, hi, limit=200)
     mass = integral + sum(weight for _, weight in dist.atoms(spec))
     assert mass == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta", [(0.6, 0.8), (0.6, 1.0), (1.0, 1.0), (1.0, 3.5), (2.6, 2.4), (4.0, 0.7), (2.6, 1.0)]
+)
+def test_beta_density_matches_scipy_stats(alpha, beta):
+    spec = dist.beta_pv_pdf(alpha, beta, 38.0)
+    x = np.linspace(0.0, 38.0, 2001)[1:-1]
+    reference = beta_dist.pdf(x / 38.0, alpha, beta) / 38.0
+    assert dist.density(spec, x) == pytest.approx(reference, rel=1e-12)
+    scalar = beta_dist.pdf(13.0 / 38.0, alpha, beta) / 38.0  # as quad calls it
+    assert float(dist.density(spec, 13.0)) == pytest.approx(scalar, rel=1e-12)
+    outside = np.array([-5.0, -1e-9, 38.0 + 1e-9, 50.0])
+    assert np.all(dist.density(spec, outside) == 0.0)
 
 
 def test_density_nonnegative_on_support():

@@ -2,7 +2,11 @@
 
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,17 @@ from mgsched import scenario as sc
 @pytest.fixture(scope="module")
 def baseline_doc():
     return sc.load_scenario(sc.baseline_scenario_path())
+
+
+def _with_field(doc, field, value):
+    """Copy of ``doc`` with ``field`` (dotted, with ``[i]`` list indices) set."""
+    doc = copy.deepcopy(doc)
+    *parents, key = re.sub(r"\[(\d+)\]", r".\1", field).split(".")
+    section = doc
+    for name in parents:
+        section = section[int(name) if name.isdigit() else name]
+    section[int(key) if key.isdigit() else key] = value
+    return doc
 
 
 def test_baseline_validates(baseline_doc):
@@ -81,16 +96,35 @@ def test_nonpositive_or_nan_value_rejected(baseline_doc, field, value):
         ("algorithm.jaya.restart_cooldown", "100"),
         ("algorithm.ipm.tol", False),
         ("wt.v_in", "3"),
+        ("load.mean[3]", "33.0"),
+        ("pv.alpha[0]", None),
+        ("wt.p_rated[23]", True),
     ],
 )
 def test_non_number_rejected_by_name(baseline_doc, field, value):
-    doc = copy.deepcopy(baseline_doc)
-    *parents, key = field.replace("[0]", ".0").split(".")
-    section = doc
-    for name in parents:
-        section = section[int(name) if name.isdigit() else name]
-    section[key] = value
+    doc = _with_field(baseline_doc, field, value)
     with pytest.raises(sc.ScenarioError, match=rf"^{re.escape(field)} must be a number$"):
+        sc.validate_scenario(doc)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("mt_units[0].p_min", 40.0, "mt_units[0].p_min must not exceed p_max"),
+        ("mt_units[2].p_max", float("nan"), "mt_units[2].p_min must not exceed p_max"),
+        ("mt_units[0].p_min", -1.0, "mt_units[0].p_min must be non-negative"),
+        ("mt_units[1].fuel_slope", -0.1, "mt_units[1].fuel_slope must be non-negative"),
+        ("mt_units[1].startup_cost", float("nan"), "mt_units[1].startup_cost must be non-negative"),
+        ("ess.soc_start", 500.0, "ess.soc_start must lie in [soc_min, soc_max]"),
+        ("ess.soc_min", -1.0, "ess.soc_min must be non-negative"),
+        ("ess.p_ch_max", float("nan"), "ess.p_ch_max must be non-negative"),
+        ("ess.eta_dc", 1.5, "ess.eta_dc must lie in (0, 1]"),
+        ("ess.eta_ch", 0.0, "ess.eta_ch must lie in (0, 1]"),
+    ],
+)
+def test_out_of_range_unit_or_storage_rejected_by_name(baseline_doc, field, value, message):
+    doc = _with_field(baseline_doc, field, value)
+    with pytest.raises(sc.ScenarioError, match=rf"^{re.escape(message)}$"):
         sc.validate_scenario(doc)
 
 
@@ -101,6 +135,13 @@ def test_cli_reports_non_number_on_one_line(baseline_doc, tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert cli.main(["validate", "--scenario", str(bad)]) == 1
     assert capsys.readouterr().err == "invalid scenario: pricing.p_ref must be a number\n"
+
+
+def test_cli_reports_out_of_range_unit_by_field(baseline_doc, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_with_field(baseline_doc, "mt_units[0].p_min", 40.0)))
+    assert cli.main(["validate", "--scenario", str(bad)]) == 1
+    assert capsys.readouterr().err == "invalid scenario: mt_units[0].p_min must not exceed p_max\n"
 
 
 def test_tou_profile_blocks():
@@ -204,3 +245,18 @@ def test_cli_cases_report(quick_scenario, tmp_path, capsys):
     assert lines[0].startswith("period,base_load,ev_load_no_dr,ev_load_dr")
     assert len(lines) == 25
     assert "peak-to-valley" in capsys.readouterr().out
+
+
+def test_run_does_not_import_scipy_stats(quick_scenario, tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from mgsched import cli\n"
+        f"code = cli.main(['run', '--iters', '1', '--scenario', {str(quick_scenario)!r}, "
+        f"'--out-dir', {str(tmp_path)!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
