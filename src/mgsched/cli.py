@@ -16,8 +16,8 @@ from pathlib import Path
 
 from mgsched import coordinator as co
 from mgsched import scenario as sc
-from mgsched.charging import StructuralInfeasibilityError, build_lp, write_plan_csv
-from mgsched.dispatch import write_schedule_csv
+from mgsched.charging import IpmError, StructuralInfeasibilityError, build_lp, write_plan_csv
+from mgsched.dispatch import InfeasibleScheduleError, write_schedule_csv
 from mgsched.ev_fleet import write_sessions_csv
 
 
@@ -153,7 +153,12 @@ def main(argv=None) -> int:
         "cases": cmd_cases,
         "validate": cmd_validate,
     }
-    return handlers[args.command](args, rt)
+    try:
+        return handlers[args.command](args, rt)
+    except (InfeasibleScheduleError, IpmError) as exc:
+        # a solver that ends without a checked result: one line, not a traceback
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -6,8 +6,9 @@ re-dispatches the microgrid against the new EV load and prices.  The joint
 operating point is selected afterwards as the iteration whose (microgrid
 cost, fleet cost) pair lies closest to the ideal point formed by each side's
 stand-alone optimum.  The microgrid side of that point is exact (a HiGHS MILP
-of the deterministic dispatch); JAYA is the dispatch search of every pricing
-iteration, and the first one starts from the exact schedule.
+of the deterministic dispatch).  Iteration 0 is that baseline itself; JAYA is
+the dispatch search of every later pricing iteration, each warm-started from
+the schedule before it.
 
 Strategy and case runs reuse the same machinery:
 
@@ -44,6 +45,7 @@ from mgsched.dispatch import (
     net_operating_cost,
     solve_upper,
     solve_upper_exact,
+    warm_start_schedule,
 )
 from mgsched.jaya import JayaConfig
 from mgsched.scenario import ScenarioRuntime
@@ -199,8 +201,8 @@ def compute_baselines(rt: ScenarioRuntime) -> BaselineOutcomes:
 
     The microgrid's stand-alone optimum is exact: the deterministic dispatch
     is solved as a MILP (:func:`~mgsched.dispatch.solve_upper_exact`), so the
-    ideal point does not depend on a search seed.  JAYA remains the dispatch
-    search inside the pricing loop, which starts from this schedule.
+    ideal point does not depend on a search seed.  This outcome is also
+    iteration 0 of the pricing loop (:func:`run_bilevel`).
     """
     plan, _ = _solve_lower(rt, rt.tou, loose_caps(rt))
     shadow = real_time_price(plan.ev_load, rt.base_load, rt.p_ref, rt.omega_ref, rt.price_floor)
@@ -218,21 +220,29 @@ def compute_baselines(rt: ScenarioRuntime) -> BaselineOutcomes:
     )
 
 
-def run_bilevel(rt: ScenarioRuntime, initial_schedule: UpperSchedule | None = None) -> list[IterationRecord]:
-    """The pricing loop: grid tariff seeds iteration 0, then realized
-    real-time prices are announced to the next iteration's charging program.
+def run_bilevel(rt: ScenarioRuntime, base: BaselineOutcomes) -> list[IterationRecord]:
+    """The pricing loop: each iteration's realized real-time prices are
+    announced to the next iteration's charging program.
+
+    Iteration 0 is the baseline: the grid-tariff plan, its shadow prices, and
+    the exact schedule in the form a search warm-started from it begins with
+    (:func:`~mgsched.dispatch.warm_start_schedule`).  A search there would
+    start from the proven optimum of the same inputs, so no charging or
+    dispatch program is solved for it.  Each later iteration re-solves both,
+    warm-starting JAYA from the previous schedule.
 
     Runs exactly ``rt.pricing_iterations`` iterations; there is no early exit.
     """
-    records: list[IterationRecord] = []
-    announced = rt.tou
-    caps = loose_caps(rt)
-    previous = initial_schedule
-    for k in range(rt.pricing_iterations):
-        plan, solved_caps = _solve_lower(rt, announced, caps)
+    inputs = upper_inputs(rt, base.plan.ev_load, base.shadow_prices.prices)
+    schedule, mg_cost = warm_start_schedule(inputs, base.schedule)
+    records = [IterationRecord(0, base.shadow_prices, base.plan, schedule, mg_cost,
+                               base.ev_cost_under_mg, loose_caps(rt))]
+    for k in range(1, rt.pricing_iterations):
+        previous = records[-1]
+        plan, solved_caps = _solve_lower(rt, previous.prices.prices, caps_from_schedule(rt, previous.schedule))
         realized = real_time_price(plan.ev_load, rt.base_load, rt.p_ref, rt.omega_ref, rt.price_floor)
         inputs = upper_inputs(rt, plan.ev_load, realized.prices)
-        schedule, mg_cost = solve_upper(inputs, _jaya_for(rt, salt=211 * k), warm_start=previous)
+        schedule, mg_cost = solve_upper(inputs, _jaya_for(rt, salt=211 * k), warm_start=previous.schedule)
         records.append(
             IterationRecord(
                 index=k,
@@ -244,15 +254,12 @@ def run_bilevel(rt: ScenarioRuntime, initial_schedule: UpperSchedule | None = No
                 caps=solved_caps,
             )
         )
-        announced = realized.prices
-        caps = caps_from_schedule(rt, schedule)
-        previous = schedule
     return records
 
 
 def run_joint(rt: ScenarioRuntime, baselines: BaselineOutcomes | None = None) -> JointOutcome:
     base = baselines if baselines is not None else compute_baselines(rt)
-    records = run_bilevel(rt, initial_schedule=base.schedule)
+    records = run_bilevel(rt, base)
     selected = select_joint_optimum(records, base.mg_cost_ideal, base.ev_cost_ideal)
     return JointOutcome(records=records, baselines=base, selected_index=selected.index)
 

@@ -433,6 +433,16 @@ def encode_schedule(sched: UpperSchedule) -> tuple[np.ndarray, np.ndarray]:
     return x, sched.on.ravel().astype(float)
 
 
+def _checked(sched: UpperSchedule, inputs: UpperInputs, context: str) -> tuple[UpperSchedule, float]:
+    """``sched`` and its net operating cost, or :class:`InfeasibleScheduleError`
+    naming every residual above :data:`RESIDUAL_TOL` (NaN counts as above)."""
+    residuals = constraint_residuals(sched, inputs)
+    offenders = {k: v for k, v in sorted(residuals.items(), key=lambda kv: -kv[1]) if not v <= RESIDUAL_TOL}
+    if offenders:
+        raise InfeasibleScheduleError(f"{context}; worst residuals {offenders}", residuals)
+    return sched, net_operating_cost(sched, inputs.ev_load, inputs.prices, inputs.units, inputs.ess)
+
+
 def solve_upper(
     inputs: UpperInputs, config: JayaConfig, warm_start: UpperSchedule | None = None
 ) -> tuple[UpperSchedule, float]:
@@ -451,16 +461,20 @@ def solve_upper(
         initial=encode_schedule(warm_start) if warm_start is not None else None,
     )
     sched = repair_and_close_balance(result.best.continuous, result.best.binary, inputs)
-    residuals = constraint_residuals(sched, inputs)
-    worst = max(residuals.values())
-    if worst > RESIDUAL_TOL:
-        offenders = {k: v for k, v in sorted(residuals.items(), key=lambda kv: -kv[1]) if v > RESIDUAL_TOL}
-        raise InfeasibleScheduleError(
-            f"no feasible schedule within {config.max_iter} iterations; worst residuals {offenders}",
-            residuals,
-        )
-    cost = net_operating_cost(sched, inputs.ev_load, inputs.prices, inputs.units, inputs.ess)
-    return sched, cost
+    return _checked(sched, inputs, f"no feasible schedule within {config.max_iter} iterations")
+
+
+def warm_start_schedule(inputs: UpperInputs, start: UpperSchedule) -> tuple[UpperSchedule, float]:
+    """The schedule that a search warm-started from ``start`` holds before its
+    first move, and its cost: ``start``'s genes boxed and thresholded as
+    :func:`~mgsched.jaya.optimize` seeds them, then repaired.
+
+    Raises :class:`InfeasibleScheduleError` as :func:`solve_upper` does.
+    """
+    lo, hi, _ = _gene_bounds(inputs)
+    x, b = encode_schedule(start)
+    sched = repair_and_close_balance(np.minimum(np.maximum(x, lo), hi), b >= 0.5, inputs)
+    return _checked(sched, inputs, "warm start")
 
 
 def solve_upper_exact(inputs: UpperInputs) -> tuple[UpperSchedule, float]:
@@ -548,11 +562,7 @@ def solve_upper_exact(inputs: UpperInputs) -> tuple[UpperSchedule, float]:
         on=commit, startup=startup, p_mt=x[p_mt], r_mt=x[r_mt], p_ch=x[p_ch], p_dc=x[p_dc],
         p_res=x[p_res], p_un=x[p_un], soc=x[soc],
     )
-    residuals = constraint_residuals(sched, inputs)
-    if max(residuals.values()) > RESIDUAL_TOL:
-        raise InfeasibleScheduleError(f"exact dispatch: residuals {residuals}", residuals)
-    cost = net_operating_cost(sched, inputs.ev_load, inputs.prices, inputs.units, inputs.ess)
-    return sched, cost
+    return _checked(sched, inputs, "exact dispatch")
 
 
 SCHEDULE_CSV_PREFIX = ["period", "reserve_requirement", "p_ch", "p_dc", "p_res", "p_un", "soc_start", "soc_end"]

@@ -10,6 +10,7 @@ immutable arrays and objects the solvers consume.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -52,7 +53,9 @@ def _need(doc: dict, key: str, context: str):
 
 
 def _is_number(value) -> bool:
-    """A real number; ``bool``, strings and ``null`` are not."""
+    """A real number; ``bool``, strings and ``null`` are not.  NaN and the
+    infinities pass here, so that a range rule can name them in its own
+    terms; :func:`_check_finite` rejects the rest."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
@@ -62,6 +65,34 @@ def _number(doc: dict, key: str, context: str):
     if not _is_number(value):
         raise ScenarioError(f"{context}.{key} must be a number")
     return value
+
+
+def _whole(doc: dict, key: str, context: str):
+    """``doc[key]`` when it is a finite number with no fractional part."""
+    value = _number(doc, key, context)
+    if not (isinstance(value, int) or value.is_integer()):
+        raise ScenarioError(f"{context}.{key} must be a whole number")
+    return value
+
+
+def _positive(doc: dict, key: str, context: str):
+    """``doc[key]`` when it is a number above zero (NaN is not)."""
+    value = _number(doc, key, context)
+    if not value > 0.0:
+        raise ScenarioError(f"{context}.{key} must be positive")
+    return value
+
+
+def _check_finite(value, name: str) -> None:
+    """Reject NaN and the infinities anywhere in the document, by field."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{name}.{key}" if name else str(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{name}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ScenarioError(f"{name} must be finite")
 
 
 def _hourly(values, context: str) -> np.ndarray:
@@ -130,20 +161,18 @@ def validate_scenario(doc: dict) -> None:
     keys = ["battery_capacity", "rated_power", "charge_efficiency", "e_per_100km",
             "soc_min", "soc_max", "soc_expected", "max_dwell"]
     if not has_table:
-        keys += ["count", "arrival_mu", "arrival_sigma", "mileage_log_mu", "mileage_log_sigma",
+        keys += ["arrival_mu", "arrival_sigma", "mileage_log_mu", "mileage_log_sigma",
                  "soc_initial_mean", "soc_initial_std"]
+        _whole(fleet, "count", "fleet")
     for key in keys:
         _number(fleet, key, "fleet")
 
     pricing = doc["pricing"]
     _need(pricing, "tou", "pricing")
-    # Written as ``not x > 0`` so that NaN is rejected too.
     for key in ("peak", "flat", "offpeak"):
-        if not _number(pricing["tou"], key, "pricing.tou") > 0.0:
-            raise ScenarioError(f"pricing.tou.{key} must be positive")
+        _positive(pricing["tou"], key, "pricing.tou")
     for key in ("omega_ref", "p_ref", "price_floor"):
-        if not _number(pricing, key, "pricing") > 0.0:
-            raise ScenarioError(f"pricing.{key} must be positive")
+        _positive(pricing, key, "pricing")
 
     for key in ("investment", "lifetime_years"):
         _number(doc["station"], key, "station")
@@ -151,26 +180,29 @@ def validate_scenario(doc: dict) -> None:
     algo = doc["algorithm"]
     for key in ("jaya", "ipm"):
         _need(algo, key, "algorithm")
-    for key in ("gamma", "step_q", "alpha_cap", "pricing_iterations", "penalty_weight"):
+    for key in ("gamma", "alpha_cap"):
         _number(algo, key, "algorithm")
+    for key in ("step_q", "penalty_weight"):
+        _positive(algo, key, "algorithm")
     if not 0.0 < algo["gamma"] <= 1.0:
         raise ScenarioError("algorithm.gamma must lie in (0, 1]")
-    if not algo["step_q"] > 0.0:
-        raise ScenarioError("algorithm.step_q must be positive")
     if not 0.0 < algo["alpha_cap"] <= 1.0:
         raise ScenarioError("algorithm.alpha_cap must lie in (0, 1]")
-    if int(algo["pricing_iterations"]) < 1:
+    if _whole(algo, "pricing_iterations", "algorithm") < 1:
         raise ScenarioError("algorithm.pricing_iterations must be at least 1")
     jaya = algo["jaya"]
     for key in ("pop_size", "max_iter"):
-        _number(jaya, key, "algorithm.jaya")
-    for key in ("seed", "thr1", "thr2", "restart_fraction", "restart_cooldown"):
+        _whole(jaya, key, "algorithm.jaya")
+    for key in ("seed", "restart_cooldown"):
+        if key in jaya:
+            _whole(jaya, key, "algorithm.jaya")
+    for key in ("thr1", "thr2", "restart_fraction"):
         if key in jaya:
             _number(jaya, key, "algorithm.jaya")
-    for key in ("tol", "max_iter"):
-        _number(algo["ipm"], key, "algorithm.ipm")
-    if "seed" not in doc:
-        raise ScenarioError("missing 'seed' in scenario")
+    _positive(algo["ipm"], "tol", "algorithm.ipm")
+    _whole(algo["ipm"], "max_iter", "algorithm.ipm")
+    _whole(doc, "seed", "scenario")
+    _check_finite(doc, "")
 
 
 # Hour blocks of the grid time-of-use tariff (end-exclusive ranges).
@@ -296,6 +328,8 @@ def prepare(doc: dict, seed: int | None = None, iterations: int | None = None,
         restart_cooldown=int(jcfg.get("restart_cooldown", 100)),
     )
     n_iters = int(algo["pricing_iterations"] if iterations is None else iterations)
+    if n_iters < 1:
+        raise ScenarioError("pricing iterations must be at least 1")
 
     return ScenarioRuntime(
         units=units,

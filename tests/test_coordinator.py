@@ -2,7 +2,7 @@
 
 import copy
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +11,7 @@ import pytest
 from mgsched import coordinator as co
 from mgsched import scenario as sc
 from mgsched.charging import StructuralInfeasibilityError, build_lp, charging_cost
-from mgsched.dispatch import RESIDUAL_TOL, constraint_residuals, net_operating_cost
+from mgsched.dispatch import RESIDUAL_TOL, constraint_residuals, net_operating_cost, solve_upper
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +27,11 @@ def small_doc():
 @pytest.fixture(scope="module")
 def small_rt(small_doc):
     return sc.prepare(small_doc, seed=3)
+
+
+@pytest.fixture(scope="module")
+def small_base(small_rt):
+    return co.compute_baselines(small_rt)
 
 
 def test_real_time_price_reference_point():
@@ -81,8 +86,8 @@ def test_select_invariant_under_common_translation():
     assert co.select_joint_optimum(shifted, 20.0 + shift, 30.0 + shift).index == base_choice
 
 
-def test_single_iteration_prices_follow_first_plan(small_rt):
-    records = co.run_bilevel(_with_iters(small_rt, 1))
+def test_single_iteration_prices_follow_first_plan(small_rt, small_base):
+    records = co.run_bilevel(_with_iters(small_rt, 1), small_base)
     assert len(records) == 1
     expected = co.real_time_price(
         records[0].plan.ev_load, small_rt.base_load, small_rt.p_ref,
@@ -97,9 +102,9 @@ def _with_iters(rt, n):
     return clone
 
 
-def test_loop_is_deterministic(small_rt):
-    a = co.run_bilevel(small_rt)
-    b = co.run_bilevel(small_rt)
+def test_loop_is_deterministic(small_rt, small_base):
+    a = co.run_bilevel(small_rt, small_base)
+    b = co.run_bilevel(small_rt, co.compute_baselines(small_rt))
     assert [r.mg_cost for r in a] == [r.mg_cost for r in b]
     assert [r.ev_cost for r in a] == [r.ev_cost for r in b]
     for ra, rb in zip(a, b):
@@ -107,8 +112,8 @@ def test_loop_is_deterministic(small_rt):
         assert np.array_equal(ra.schedule.p_mt, rb.schedule.p_mt)
 
 
-def test_records_recompute_to_stored_costs(small_rt):
-    for record in co.run_bilevel(small_rt):
+def test_records_recompute_to_stored_costs(small_rt, small_base):
+    for record in co.run_bilevel(small_rt, small_base):
         f1 = net_operating_cost(record.schedule, record.plan.ev_load,
                                 record.prices.prices, small_rt.units, small_rt.ess)
         f2 = charging_cost(record.plan, record.prices.prices, small_rt.station)
@@ -134,14 +139,63 @@ def test_ev_only_uniform_price_oracle(small_doc):
     assert outcome.ev_cost == pytest.approx(expected, abs=1e-6)
 
 
-def _baseline_as_joint(rt, base):
-    """A joint outcome whose one iteration is the grid-tariff baseline."""
-    return co.JointOutcome(
-        records=[co.IterationRecord(0, base.shadow_prices, base.plan, base.schedule,
-                                    base.mg_cost_ideal, base.ev_cost_under_mg, co.loose_caps(rt))],
-        baselines=base,
-        selected_index=0,
-    )
+def _reference_iteration_zero(rt, base):
+    """Iteration 0 as the loop solved it before it was taken from the
+    baselines: the charging program at the grid tariff and loose caps, then
+    JAYA with salt 0, warm-started from the exact schedule."""
+    plan, caps = co._solve_lower(rt, rt.tou, co.loose_caps(rt))
+    realized = co.real_time_price(plan.ev_load, rt.base_load, rt.p_ref, rt.omega_ref, rt.price_floor)
+    inputs = co.upper_inputs(rt, plan.ev_load, realized.prices)
+    schedule, mg_cost = solve_upper(inputs, co._jaya_for(rt, salt=0), warm_start=base.schedule)
+    return co.IterationRecord(0, realized, plan, schedule, mg_cost,
+                              charging_cost(plan, realized.prices, rt.station), caps)
+
+
+def _record_bytes(record):
+    """Every field of a record, each as (dtype, shape, bytes)."""
+    def enc(value):
+        a = np.asarray(value)
+        return a.dtype.str, a.shape, a.tobytes()
+    out = {name: enc(getattr(record, name)) for name in ("index", "mg_cost", "ev_cost", "caps")}
+    out["prices"] = enc(record.prices.prices)
+    for part in ("plan", "schedule"):
+        obj = getattr(record, part)
+        out.update({f"{part}.{f.name}": enc(getattr(obj, f.name)) for f in fields(obj)})
+    return out
+
+
+@pytest.mark.parametrize("workload, seed", [("baseline", 100033), ("baseline", 100036), ("scaled150", 1)])
+def test_iteration_zero_is_bitwise_the_warm_started_search(workload, seed, baseline_scaled):
+    doc = sc.load_scenario(sc.baseline_scenario_path()) if workload == "baseline" else baseline_scaled(150)
+    rt = _with_iters(sc.prepare(doc, seed=seed), 1)
+    base = co.compute_baselines(rt)
+    (record,) = co.run_bilevel(rt, base)
+    assert _record_bytes(record) == _record_bytes(_reference_iteration_zero(rt, base))
+    # Both shortcuts would fail that comparison: the exact schedule is not its
+    # own repaired encoding, and on the baseline inputs the ideal cost differs
+    # from the record's in the last bits.
+    assert any(getattr(base.schedule, f.name).tobytes() != getattr(record.schedule, f.name).tobytes()
+               for f in fields(record.schedule))
+    assert (record.mg_cost != base.mg_cost_ideal) == (workload == "baseline")
+
+
+@pytest.mark.parametrize("iterations", [1, 2])
+def test_iteration_zero_solves_no_program_of_its_own(small_rt, monkeypatch, iterations):
+    calls = {"ipm_solve": 0, "solve_upper": 0}
+
+    def counted(name):
+        inner = getattr(co, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(co, name, counted(name))
+    co.run_joint(_with_iters(small_rt, iterations))
+    # the baselines' one charging program, then one of each per later iteration
+    assert calls == {"ipm_solve": iterations, "solve_upper": iterations - 1}
 
 
 def test_ideal_point_does_not_depend_on_the_search_seed(small_rt):
@@ -164,18 +218,17 @@ def test_large_fleet_input_100005_gets_a_feasible_schedule(baseline_scaled):
     assert max(constraint_residuals(selected.schedule, inputs).values()) <= RESIDUAL_TOL
 
 
-def test_case_collapses_when_responses_match(small_rt):
-    base = co.compute_baselines(small_rt)
-    report = co.run_case(small_rt, base, joint=_baseline_as_joint(small_rt, base))
+def test_case_collapses_when_responses_match(small_rt, small_base):
+    # with one iteration, the joint outcome is the grid-tariff baseline
+    report = co.run_case(small_rt, small_base, joint=co.run_joint(_with_iters(small_rt, 1), small_base))
     assert report.ev_load_dr == pytest.approx(report.ev_load_no_dr)
     assert report.price_dr == pytest.approx(report.price_no_dr)
     assert report.peak_to_valley_dr == report.peak_to_valley_no_dr
     assert report.correlation_dr == report.correlation_no_dr
 
 
-def test_case_report_consistency(small_rt):
-    base = co.compute_baselines(small_rt)
-    report = co.run_case(small_rt, base, joint=_baseline_as_joint(small_rt, base))
+def test_case_report_consistency(small_rt, small_base):
+    report = co.run_case(small_rt, small_base, joint=co.run_joint(_with_iters(small_rt, 1), small_base))
     total = small_rt.base_load + report.ev_load_no_dr
     assert report.peak_to_valley_no_dr == pytest.approx(float(total.max() - total.min()))
 
@@ -205,14 +258,14 @@ def test_writers_produce_stable_files(tmp_path, small_rt):
     assert max(summary["max_residuals"].values()) <= 1e-6
 
 
-def test_fallback_records_the_caps_it_solved_against(tmp_path, small_rt, monkeypatch):
+def test_fallback_records_the_caps_it_solved_against(tmp_path, small_rt, small_base, monkeypatch):
     # a dispatch that leaves no feed headroom makes the next charging program
     # structurally infeasible, so it falls back to the loose limits
     no_caps = np.zeros(small_rt.tou.size)
     with pytest.raises(StructuralInfeasibilityError):
         build_lp(small_rt.sessions, small_rt.ev_params, small_rt.tou, no_caps, small_rt.station)
     monkeypatch.setattr(co, "caps_from_schedule", lambda rt, sched: no_caps)
-    records = co.run_bilevel(small_rt)
+    records = co.run_bilevel(small_rt, small_base)
     assert np.array_equal(records[1].caps, co.loose_caps(small_rt))
 
     ideal = SimpleNamespace(mg_cost_ideal=0.0, ev_cost_ideal=0.0)

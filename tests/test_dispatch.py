@@ -21,6 +21,7 @@ from mgsched.dispatch import (
     repair_and_close_balance,
     solve_upper,
     solve_upper_exact,
+    warm_start_schedule,
     write_schedule_csv,
 )
 from mgsched.jaya import JayaConfig
@@ -228,6 +229,14 @@ def test_solve_upper_reports_infeasibility():
     inputs = _inputs((MT1,), NO_ESS, [200.0])  # beyond total capacity
     with pytest.raises(InfeasibleScheduleError) as err:
         solve_upper(inputs, JayaConfig(pop_size=10, max_iter=30, seed=0))
+    assert err.value.residuals["balance"] > 0.0
+
+
+def test_warm_start_schedule_reports_infeasibility():
+    inputs = _inputs((MT1,), NO_ESS, [200.0])  # beyond total capacity
+    start = repair_and_close_balance(np.full(5, 35.0), np.ones(1), inputs)
+    with pytest.raises(InfeasibleScheduleError, match="warm start") as err:
+        warm_start_schedule(inputs, start)
     assert err.value.residuals["balance"] > 0.0
 
 

@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 
 from mgsched import cli
+from mgsched import coordinator as co
 from mgsched import scenario as sc
+from mgsched.charging import IpmError
+from mgsched.dispatch import InfeasibleScheduleError
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +131,47 @@ def test_out_of_range_unit_or_storage_rejected_by_name(baseline_doc, field, valu
         sc.validate_scenario(doc)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("load.mean[5]", float("nan"), "load.mean[5] must be finite"),
+        ("pv.alpha[12]", float("inf"), "pv.alpha[12] must be finite"),
+        ("ess.charge_price", float("-inf"), "ess.charge_price must be finite"),
+        ("pricing.p_ref", float("inf"), "pricing.p_ref must be finite"),
+        ("algorithm.penalty_weight", float("nan"), "algorithm.penalty_weight must be positive"),
+        ("algorithm.penalty_weight", -1.0, "algorithm.penalty_weight must be positive"),
+        ("algorithm.ipm.tol", float("nan"), "algorithm.ipm.tol must be positive"),
+        ("algorithm.ipm.tol", 0.0, "algorithm.ipm.tol must be positive"),
+        ("algorithm.pricing_iterations", 2.5, "algorithm.pricing_iterations must be a whole number"),
+        ("algorithm.pricing_iterations", float("nan"), "algorithm.pricing_iterations must be a whole number"),
+        ("algorithm.jaya.pop_size", 60.5, "algorithm.jaya.pop_size must be a whole number"),
+        ("algorithm.jaya.max_iter", float("inf"), "algorithm.jaya.max_iter must be a whole number"),
+        ("algorithm.jaya.seed", 1.5, "algorithm.jaya.seed must be a whole number"),
+        ("algorithm.jaya.restart_cooldown", 99.9, "algorithm.jaya.restart_cooldown must be a whole number"),
+        ("algorithm.ipm.max_iter", 100.5, "algorithm.ipm.max_iter must be a whole number"),
+        ("fleet.count", float("nan"), "fleet.count must be a whole number"),
+        ("seed", 1.5, "scenario.seed must be a whole number"),
+    ],
+)
+def test_non_finite_fractional_or_nonpositive_rejected_by_name(baseline_doc, field, value, message):
+    doc = _with_field(baseline_doc, field, value)
+    with pytest.raises(sc.ScenarioError, match=rf"^{re.escape(message)}$"):
+        sc.validate_scenario(doc)
+
+
+def test_whole_numbers_written_as_floats_are_accepted(baseline_doc):
+    doc = copy.deepcopy(baseline_doc)
+    doc["algorithm"]["pricing_iterations"] = 3.0
+    doc["algorithm"]["jaya"].update(pop_size=10.0, max_iter=20.0, seed=7.0)
+    rt = sc.prepare(doc)
+    assert (rt.pricing_iterations, rt.jaya.pop_size, rt.jaya.max_iter, rt.jaya.seed) == (3, 10, 20, 7)
+
+
+def test_prepare_rejects_no_pricing_iterations(baseline_doc):
+    with pytest.raises(sc.ScenarioError, match="pricing iterations must be at least 1"):
+        sc.prepare(baseline_doc, iterations=0)
+
+
 def test_cli_reports_non_number_on_one_line(baseline_doc, tmp_path, capsys):
     doc = copy.deepcopy(baseline_doc)
     doc["pricing"]["p_ref"] = "80"
@@ -218,6 +262,28 @@ def test_cli_reports_invalid_scenario(baseline_doc, tmp_path, capsys, command):
     bad.write_text(json.dumps(doc))
     assert cli.main([command, "--scenario", str(bad), "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == "invalid scenario: pricing.p_ref must be positive\n"
+
+
+def test_cli_validate_rejects_nan_hourly_value(baseline_doc, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_with_field(baseline_doc, "load.mean[5]", float("nan"))))
+    assert cli.main(["validate", "--scenario", str(bad)]) == 1
+    assert capsys.readouterr().err == "invalid scenario: load.mean[5] must be finite\n"
+
+
+@pytest.mark.parametrize("command", ["run", "strategies", "cases"])
+@pytest.mark.parametrize(
+    "error",
+    [InfeasibleScheduleError("exact dispatch: HiGHS status 2", {}), IpmError("no convergence within 100 iterations")],
+    ids=["infeasible_schedule", "ipm"],
+)
+def test_cli_reports_solver_failure_on_one_line(quick_scenario, tmp_path, capsys, monkeypatch, command, error):
+    def fail(rt):
+        raise error
+
+    monkeypatch.setattr(co, "compute_baselines", fail)
+    assert cli.main([command, "--scenario", str(quick_scenario), "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"{command} failed: {error}\n"
 
 
 def test_cli_run_writes_outputs(quick_scenario, tmp_path, capsys):
