@@ -8,6 +8,7 @@ All sampling is a pure function of (parameters, count, seed).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -120,8 +121,28 @@ def initial_soc_pdf(mean: float, std: float, lo: float, hi: float) -> PdfSpec:
     return PdfSpec(PdfKind.INITIAL_SOC, {"mean": mean, "std": std, "lo": lo, "hi": hi}, (lo, hi))
 
 
+def _pow(base: float, exponent: float) -> float:
+    """C ``pow``: ``math.pow`` raises on overflow where ``pow`` returns inf."""
+    try:
+        return math.pow(base, exponent)
+    except OverflowError:
+        return math.inf
+
+
+def libm_pow(base, exponent: float) -> np.ndarray:
+    """``base ** exponent`` (``base >= 0``) elementwise through the C
+    library's ``pow``.
+
+    numpy's array power may take a SIMD path that differs in the last bit
+    from ``pow``, which numpy scalars use; going through ``pow`` keeps a value
+    the same whether it is computed on an array or one point at a time."""
+    base = np.asarray(base, dtype=float)
+    flat = map(_pow, base.ravel().tolist(), itertools.repeat(exponent))
+    return np.fromiter(flat, float, base.size).reshape(base.shape)
+
+
 def _weibull_sf(v, k, c):
-    return np.exp(-((np.asarray(v, dtype=float) / c) ** k))
+    return np.exp(-libm_pow(np.asarray(v, dtype=float) / c, k))
 
 
 def density(spec: PdfSpec, x):
@@ -146,10 +167,13 @@ def density(spec: PdfSpec, x):
             return np.zeros_like(x)
         k, c = p["k"], p["c"]
         dv_dp = (p["v_rated"] - p["v_in"]) / pr
-        v = p["v_in"] + x * dv_dp
-        f_v = (k / c) * (v / c) ** (k - 1.0) * _weibull_sf(v, k, c)
+        # points off the support get a stand-in inside it, where pow cannot
+        # fail, and are zeroed below
+        inside = (x > 0.0) & (x < pr)
+        v = p["v_in"] + np.where(inside, x, 0.5 * pr) * dv_dp
+        f_v = (k / c) * libm_pow(v / c, k - 1.0) * _weibull_sf(v, k, c)
         out = f_v * dv_dp
-        return np.where((x > 0.0) & (x < pr), out, 0.0)
+        return np.where(inside, out, 0.0)
     if spec.kind is PdfKind.ARRIVAL_TIME:
         return pdf_arrival(x, p["mu"], p["sigma"])
     if spec.kind is PdfKind.MILEAGE:

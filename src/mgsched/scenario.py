@@ -124,6 +124,26 @@ def _check_ranges(doc: dict) -> None:
             raise ScenarioError(f"ess.{key} must lie in (0, 1]")
 
 
+def _check_renewables(doc: dict) -> None:
+    """The ranges that the PV and wind models and :func:`discretize` require,
+    named by scenario field and hour.  Written as ``not (...)`` so that NaN is
+    rejected too."""
+    for name in ("pv", "wt"):
+        for h, p_rated in enumerate(doc[name]["p_rated"]):
+            if not p_rated >= 0.0:
+                raise ScenarioError(f"{name}.p_rated[{h}] must be non-negative")
+            if 0.0 < p_rated < doc["algorithm"]["step_q"]:
+                raise ScenarioError(f"{name}.p_rated[{h}] must be 0 or at least algorithm.step_q")
+    for name, keys in (("pv", ("alpha", "beta")), ("wt", ("k", "c"))):
+        for key in keys:
+            for h, value in enumerate(doc[name][key]):
+                if not value > 0.0:
+                    raise ScenarioError(f"{name}.{key}[{h}] must be positive")
+    wt = doc["wt"]
+    if not 0.0 <= wt["v_in"] < wt["v_rated"] < wt["v_out"]:
+        raise ScenarioError("wt.v_in, wt.v_rated and wt.v_out must satisfy 0 <= v_in < v_rated < v_out")
+
+
 def validate_scenario(doc: dict) -> None:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
@@ -202,6 +222,7 @@ def validate_scenario(doc: dict) -> None:
     _positive(algo["ipm"], "tol", "algorithm.ipm")
     _whole(algo["ipm"], "max_iter", "algorithm.ipm")
     _whole(doc, "seed", "scenario")
+    _check_renewables(doc)
     _check_finite(doc, "")
 
 

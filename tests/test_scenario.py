@@ -123,6 +123,15 @@ def test_non_number_rejected_by_name(baseline_doc, field, value):
         ("ess.p_ch_max", float("nan"), "ess.p_ch_max must be non-negative"),
         ("ess.eta_dc", 1.5, "ess.eta_dc must lie in (0, 1]"),
         ("ess.eta_ch", 0.0, "ess.eta_ch must lie in (0, 1]"),
+        ("pv.p_rated[6]", 1.0, "pv.p_rated[6] must be 0 or at least algorithm.step_q"),
+        ("wt.p_rated[4]", -30.0, "wt.p_rated[4] must be non-negative"),
+        ("pv.alpha[9]", -1.0, "pv.alpha[9] must be positive"),
+        ("pv.beta[0]", float("nan"), "pv.beta[0] must be positive"),
+        ("wt.k[17]", 0.0, "wt.k[17] must be positive"),
+        ("wt.c[2]", 0.0, "wt.c[2] must be positive"),
+        ("wt.v_in", 13.0, "wt.v_in, wt.v_rated and wt.v_out must satisfy 0 <= v_in < v_rated < v_out"),
+        ("wt.v_in", -1.0, "wt.v_in, wt.v_rated and wt.v_out must satisfy 0 <= v_in < v_rated < v_out"),
+        ("wt.v_out", 12.0, "wt.v_in, wt.v_rated and wt.v_out must satisfy 0 <= v_in < v_rated < v_out"),
     ],
 )
 def test_out_of_range_unit_or_storage_rejected_by_name(baseline_doc, field, value, message):

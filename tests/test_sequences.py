@@ -1,10 +1,15 @@
-"""Probability-sequence tests: analytic bin integrals, convolution against a
-Monte-Carlo oracle, and the reserve transform against a brute-force scan."""
+"""Probability-sequence tests: analytic bin integrals, the vectorized bins
+against a per-bin ``quad`` reference, convolution against a Monte-Carlo
+oracle, and the reserve transform against a brute-force scan."""
+
+import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
-from mgsched.distributions import beta_pv_pdf, weibull_wt_pdf
+from mgsched import sequences
+from mgsched.distributions import atoms, beta_pv_pdf, density, weibull_wt_pdf
 from mgsched.sequences import (
     ProbSequence,
     convolve,
@@ -41,12 +46,107 @@ def test_discretization_places_wind_atoms():
     assert seq.probs[-1] >= at_rated - 1e-9
 
 
+def test_wind_below_cut_in_puts_all_mass_at_zero():
+    # (v / c) ** k overflows, so every wind speed lies below the cut-in
+    seq = discretize(weibull_wt_pdf(2.1, 1e-200, 3.0, 12.0, 22.0, 30.0), 30.0, 2.5)
+    assert seq.probs[0] == 1.0
+    assert not seq.probs[1:].any()
+
+
 def test_discretization_rejects_lost_mass():
     # binning a 38 kW panel onto a 20 kW grid drops real probability mass
     from mgsched.sequences import DiscretizationError
 
     with pytest.raises(DiscretizationError):
         discretize(beta_pv_pdf(2.6, 2.4, 38.0), 20.0, 2.5)
+
+
+def _discretize_reference(pdf, p_max, q):
+    """``discretize`` as it was written with one ``integrate.quad`` call per
+    bin: the bitwise reference for the vectorized Gauss–Kronrod bins."""
+    if p_max == 0.0:
+        return np.array([1.0])
+    n = int(math.ceil(p_max / q))
+    edges = np.empty(n + 2)
+    edges[0] = 0.0
+    edges[1 : n + 1] = (np.arange(1, n + 1) - 0.5) * q
+    edges[n + 1] = p_max
+    edges = np.minimum(edges, p_max)
+
+    probs = np.zeros(n + 1)
+    atom_mass = 0.0
+    for loc, weight in atoms(pdf):
+        idx = int(np.floor(min(loc, p_max) / q + 0.5))
+        probs[min(idx, n)] += weight
+        atom_mass += weight
+    if atom_mass < 1.0 - 1e-12:
+        for i in range(n + 1):
+            lo, hi = edges[i], edges[i + 1]
+            if hi > lo:
+                val, _ = integrate.quad(lambda x: float(density(pdf, x)), lo, hi, limit=200)
+                probs[i] += val
+    return probs / float(probs.sum())
+
+
+def _renewable_specs(doc, q=None):
+    """(spec, p_max, q) of every hour's PV and wind model of ``doc``, on the
+    grid of its ``algorithm.step_q`` unless ``q`` is given."""
+    q = doc["algorithm"]["step_q"] if q is None else q
+    pv, wt = doc["pv"], doc["wt"]
+    for h in range(24):
+        yield beta_pv_pdf(pv["alpha"][h], pv["beta"][h], pv["p_rated"][h]), pv["p_rated"][h], q
+        wind = weibull_wt_pdf(wt["k"][h], wt["c"][h], wt["v_in"], wt["v_rated"], wt["v_out"], wt["p_rated"][h])
+        yield wind, wt["p_rated"][h], q
+
+
+ORACLE_CASES = {
+    "baseline": lambda scaled: _renewable_specs(scaled(20)),
+    "large_fleet": lambda scaled: _renewable_specs(scaled(150)),
+    "step_0.1": lambda scaled: _renewable_specs(scaled(20), 0.1),
+    "shapes": lambda scaled: [
+        (beta_pv_pdf(1.0, 1.0, 10.0), 10.0, 2.5),
+        # nearly uniform: the end bin's error estimate is all spread
+        # (abserr == resasc), so QAGS goes on although it is within the bound
+        (beta_pv_pdf(1.0 + 1e-9, 1.0, 10.0), 10.0, 2.5),
+        (beta_pv_pdf(2.6, 2.4, 38.0), 38.0, 2.5),
+        (beta_pv_pdf(0.9, 1.7, 13.0), 13.0, 2.5),  # singular at zero output
+        (beta_pv_pdf(5.0, 1.2, 25.0), 25.0, 2.5),
+        (weibull_wt_pdf(2.1, 7.0, 3.0, 12.0, 22.0, 30.0), 30.0, 2.5),
+    ],
+}
+
+
+class _QuadRecorder:
+    """Stand-in for ``scipy.integrate`` that records how many integrand
+    evaluations each ``quad`` call made."""
+
+    def __init__(self):
+        self.nevals = []
+
+    def quad(self, *args, **kwargs):
+        val, err, info = integrate.quad(*args, full_output=1, **kwargs)[:3]
+        self.nevals.append(info["neval"])
+        return val, err
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_bins_match_per_bin_quad_bitwise(case, baseline_scaled):
+    for spec, p_max, q in ORACLE_CASES[case](baseline_scaled):
+        got = discretize(spec, p_max, q).probs
+        want = _discretize_reference(spec, p_max, q)
+        assert got.tobytes() == want.tobytes(), (spec, q)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_only_bins_that_qags_subdivides_go_to_quad(case, baseline_scaled, monkeypatch):
+    recorder = _QuadRecorder()
+    monkeypatch.setattr(sequences, "integrate", recorder)
+    bins = sum(len(discretize(*spec)) for spec in ORACLE_CASES[case](baseline_scaled))
+    # QAGS's first step costs 21 evaluations; every bin handed on subdivides
+    assert all(neval > 21 for neval in recorder.nevals)
+    assert len(recorder.nevals) < bins
+    if case != "step_0.1":  # at 0.1 kW every bin stops after the first step
+        assert recorder.nevals
 
 
 def test_sequence_invariants_enforced():
