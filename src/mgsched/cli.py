@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Subcommands:
-  run         full pricing-loop run; writes records/schedule/plan/prices CSVs
-              plus summary.json into --out-dir
-  strategies  cost table for the stand-alone and joint operating strategies
-  cases       fleet behaviour with and without price response
-  validate    scenario schema and feasibility pre-checks (exit code 0/1)
+  run       one pricing-loop run; writes records/schedule/plan/prices/sessions
+            CSVs, summary.json, the stand-alone vs joint cost table
+            (strategies.csv) and the price-response comparison (cases.csv)
+            into --out-dir
+  validate  scenario schema and feasibility pre-checks (exit code 0/1)
 """
 
 from __future__ import annotations
@@ -41,14 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--iters", type=int, default=None, help="override the pricing iteration count")
     p_run.add_argument("--out-dir", type=Path, default=Path("."), help="directory for output files")
 
-    p_str = sub.add_parser("strategies", help="stand-alone vs joint cost table")
-    _add_common(p_str)
-    p_str.add_argument("--out-dir", type=Path, default=Path("."))
-
-    p_cas = sub.add_parser("cases", help="price-response comparison")
-    _add_common(p_cas)
-    p_cas.add_argument("--out-dir", type=Path, default=Path("."))
-
     p_val = sub.add_parser("validate", help="scenario schema and feasibility checks")
     _add_common(p_val)
     return parser
@@ -79,43 +71,14 @@ def cmd_run(args, rt: sc.ScenarioRuntime) -> int:
     write_plan_csv(out / "charging_plan.csv", sel.plan, [s.ev_id for s in rt.sessions])
     write_sessions_csv(out / "sessions.csv", rt.sessions)
     co.write_summary_json(out / "summary.json", rt, outcome)
+    co.write_strategies_csv(out / "strategies.csv", outcome)
+    co.write_cases_csv(out / "cases.csv", co.run_case(rt, outcome))
 
     base = outcome.baselines
     print(f"selected iteration {outcome.selected_index} of {len(outcome.records)}")
     print(f"microgrid cost: ideal {base.mg_cost_ideal:.2f} $, joint {sel.mg_cost:.2f} $")
     print(f"fleet cost:     ideal {base.ev_cost_ideal:.2f} $, joint {sel.ev_cost:.2f} $")
     print(f"outputs written to {out}")
-    return 0
-
-
-def cmd_strategies(args, rt: sc.ScenarioRuntime) -> int:
-    out = args.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    base = co.compute_baselines(rt)
-    outcomes = [
-        co.run_strategy(rt, co.Strategy.MG_ONLY, base),
-        co.run_strategy(rt, co.Strategy.JOINT, base),
-        co.run_strategy(rt, co.Strategy.EV_ONLY, base),
-    ]
-    co.write_strategies_csv(out / "strategies.csv", outcomes)
-    print(f"{'strategy':<10} {'mg_cost':>10} {'ev_cost':>10}")
-    for o in outcomes:
-        print(f"{o.strategy.value:<10} {o.mg_cost:>10.2f} {o.ev_cost:>10.2f}")
-    print(f"written to {out / 'strategies.csv'}")
-    return 0
-
-
-def cmd_cases(args, rt: sc.ScenarioRuntime) -> int:
-    out = args.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    base = co.compute_baselines(rt)
-    report = co.run_case(rt, base)
-    co.write_cases_csv(out / "cases.csv", report)
-    print(f"peak-to-valley: without response {report.peak_to_valley_no_dr:.2f} kW, "
-          f"with response {report.peak_to_valley_dr:.2f} kW")
-    print(f"price-load correlation: without response {report.correlation_no_dr:.3f}, "
-          f"with response {report.correlation_dr:.3f}")
-    print(f"written to {out / 'cases.csv'}")
     return 0
 
 
@@ -140,8 +103,6 @@ def main(argv=None) -> int:
         return 1
     handlers = {
         "run": cmd_run,
-        "strategies": cmd_strategies,
-        "cases": cmd_cases,
         "validate": cmd_validate,
     }
     try:

@@ -10,13 +10,14 @@ of the deterministic dispatch).  Iteration 0 is that baseline itself; JAYA is
 the dispatch search of every later pricing iteration, each warm-started from
 the schedule before it.
 
-Strategy and case runs reuse the same machinery:
+The outcome of one run also yields the strategy table and the price-response
+case report; the stand-alone strategies are read off the baselines:
 
-* ``MG_ONLY``  - fleet charges against the grid tariff, the microgrid applies
+* ``mg_only``  - fleet charges against the grid tariff, the microgrid applies
   its real-time price to that unresponsive load (fleet interests ignored).
-* ``EV_ONLY``  - fleet charges against the grid tariff and pays it; the
+* ``ev_only``  - fleet charges against the grid tariff and pays it; the
   microgrid cost is the bare operating cost with no charging revenue.
-* ``JOINT``    - full pricing loop plus joint-optimum selection.
+* ``joint``    - the pricing loop's selected iteration.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
@@ -51,12 +51,6 @@ from mgsched.jaya import JayaConfig
 from mgsched.scenario import ScenarioRuntime
 
 
-class Strategy(Enum):
-    MG_ONLY = "mg_only"
-    JOINT = "joint"
-    EV_ONLY = "ev_only"
-
-
 @dataclass(frozen=True)
 class PriceProfile:
     prices: np.ndarray  # $/kWh per period
@@ -80,7 +74,8 @@ class IterationRecord:
 
 @dataclass
 class BaselineOutcomes:
-    """Stand-alone optima and cross costs shared by the strategy runs."""
+    """Stand-alone optima and their cross costs: iteration 0 of the pricing
+    loop, its ideal point, and the two stand-alone strategies."""
 
     plan: ChargingPlan  # grid-tariff charging plan
     schedule: UpperSchedule
@@ -89,13 +84,6 @@ class BaselineOutcomes:
     ev_cost_ideal: float  # fleet cost at the grid tariff
     ev_cost_under_mg: float  # fleet bill at the microgrid's real-time prices
     mg_cost_under_ev: float  # bare operating cost with no charging revenue
-
-
-@dataclass
-class StrategyOutcome:
-    strategy: Strategy
-    mg_cost: float
-    ev_cost: float
 
 
 @dataclass
@@ -257,21 +245,11 @@ def run_bilevel(rt: ScenarioRuntime, base: BaselineOutcomes) -> list[IterationRe
     return records
 
 
-def run_joint(rt: ScenarioRuntime, baselines: BaselineOutcomes | None = None) -> JointOutcome:
-    base = baselines if baselines is not None else compute_baselines(rt)
+def run_joint(rt: ScenarioRuntime) -> JointOutcome:
+    base = compute_baselines(rt)
     records = run_bilevel(rt, base)
     selected = select_joint_optimum(records, base.mg_cost_ideal, base.ev_cost_ideal)
     return JointOutcome(records=records, baselines=base, selected_index=selected.index)
-
-
-def run_strategy(rt: ScenarioRuntime, strategy: Strategy, baselines: BaselineOutcomes | None = None) -> StrategyOutcome:
-    base = baselines if baselines is not None else compute_baselines(rt)
-    if strategy is Strategy.MG_ONLY:
-        return StrategyOutcome(strategy, mg_cost=base.mg_cost_ideal, ev_cost=base.ev_cost_under_mg)
-    if strategy is Strategy.EV_ONLY:
-        return StrategyOutcome(strategy, mg_cost=base.mg_cost_under_ev, ev_cost=base.ev_cost_ideal)
-    outcome = run_joint(rt, base)
-    return StrategyOutcome(strategy, mg_cost=outcome.selected.mg_cost, ev_cost=outcome.selected.ev_cost)
 
 
 def price_load_correlation(prices: np.ndarray, load: np.ndarray) -> float:
@@ -287,8 +265,7 @@ def peak_to_valley(total_load: np.ndarray) -> float:
     return float(np.max(total_load) - np.min(total_load))
 
 
-def run_case(rt: ScenarioRuntime, baselines: BaselineOutcomes | None = None,
-             joint: JointOutcome | None = None) -> CaseReport:
+def run_case(rt: ScenarioRuntime, outcome: JointOutcome) -> CaseReport:
     """Compare fleet behaviour without and with price response.
 
     The no-response case bills the fleet at the grid tariff; the response case
@@ -297,8 +274,7 @@ def run_case(rt: ScenarioRuntime, baselines: BaselineOutcomes | None = None,
     would imply), so the correlation column measures how strongly each fleet's
     load pattern drives the system price.
     """
-    base = baselines if baselines is not None else compute_baselines(rt)
-    outcome = joint if joint is not None else run_joint(rt, base)
+    base = outcome.baselines
     dr_load = outcome.selected.plan.ev_load
     dr_price = outcome.selected.prices.prices
     return CaseReport(
@@ -341,12 +317,15 @@ def write_prices_csv(path, rt: ScenarioRuntime, outcome: JointOutcome) -> None:
             writer.writerow([t, repr(float(rt.tou[t])), repr(float(first[t])), repr(float(chosen[t]))])
 
 
-def write_strategies_csv(path, outcomes: list[StrategyOutcome]) -> None:
+def write_strategies_csv(path, outcome: JointOutcome) -> None:
+    base = outcome.baselines
+    joint = outcome.selected
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["strategy", "mg_cost", "ev_cost"])
-        for o in outcomes:
-            writer.writerow([o.strategy.value, repr(o.mg_cost), repr(o.ev_cost)])
+        writer.writerow(["mg_only", repr(base.mg_cost_ideal), repr(base.ev_cost_under_mg)])
+        writer.writerow(["joint", repr(joint.mg_cost), repr(joint.ev_cost)])
+        writer.writerow(["ev_only", repr(base.mg_cost_under_ev), repr(base.ev_cost_ideal)])
 
 
 def write_cases_csv(path, report: CaseReport) -> None:

@@ -255,7 +255,6 @@ class ScenarioRuntime:
     p_ref: float
     price_floor: float
     gamma: float
-    step_q: float
     alpha_cap: float
     pricing_iterations: int
     penalty_weight: float
@@ -263,6 +262,16 @@ class ScenarioRuntime:
     ipm_tol: float
     ipm_max_iter: int
     seed: int
+
+
+def _discretized(spec: dist.PdfSpec, p_rated: float, q: float, source: str) -> ProbSequence:
+    """``discretize``, with any failure reported as the source and hour whose
+    distribution gave it (a density that is ``inf * 0`` inside its support
+    yields NaN bins, for example)."""
+    try:
+        return discretize(spec, p_rated, q)
+    except ValueError as exc:
+        raise ScenarioError(f"{source} cannot be discretized: {exc}") from exc
 
 
 def prepare(doc: dict, seed: int | None = None, iterations: int | None = None,
@@ -304,8 +313,8 @@ def prepare(doc: dict, seed: int | None = None, iterations: int | None = None,
             float(wt["v_rated"]), float(wt["v_out"]), float(wt["p_rated"][h]),
         )
         renewables.append((pv_spec, wt_spec))
-        seq_pv = discretize(pv_spec, float(pv["p_rated"][h]), q)
-        seq_wt = discretize(wt_spec, float(wt["p_rated"][h]), q)
+        seq_pv = _discretized(pv_spec, float(pv["p_rated"][h]), q, f"pv[{h}]")
+        seq_wt = _discretized(wt_spec, float(wt["p_rated"][h]), q, f"wt[{h}]")
         sequences.append(convolve(seq_pv, seq_wt))
 
     f = doc["fleet"]
@@ -366,7 +375,6 @@ def prepare(doc: dict, seed: int | None = None, iterations: int | None = None,
         p_ref=float(pr["p_ref"]),
         price_floor=float(pr["price_floor"]),
         gamma=float(algo["gamma"]),
-        step_q=q,
         alpha_cap=float(algo["alpha_cap"]),
         pricing_iterations=n_iters,
         penalty_weight=float(algo["penalty_weight"]),

@@ -75,6 +75,8 @@ class ProbSequence:
             raise ValueError(f"step must be positive, got {self.step_q}")
         if self.probs.ndim != 1 or self.probs.size == 0:
             raise ValueError("probs must be a non-empty 1-D array")
+        if not np.all(np.isfinite(self.probs)):
+            raise ValueError("probabilities must be finite")
         if np.any(self.probs < -1e-15) or np.any(self.probs > 1.0 + 1e-12):
             raise ValueError("probabilities must lie in [0, 1]")
         if abs(float(self.probs.sum()) - 1.0) > SUM_TOL:

@@ -45,12 +45,11 @@ def joint_runs(baseline_doc):
     for seed in SEEDS:
         start = time.perf_counter()
         rt = sc.prepare(baseline_doc, seed=seed)
-        baselines = co.compute_baselines(rt)
-        outcome = co.run_joint(rt, baselines)
-        report = co.run_case(rt, baselines, joint=outcome)
+        outcome = co.run_joint(rt)
+        report = co.run_case(rt, outcome)
         runs[seed] = {
             "rt": rt,
-            "baselines": baselines,
+            "baselines": outcome.baselines,
             "outcome": outcome,
             "report": report,
             "elapsed": time.perf_counter() - start,
@@ -247,7 +246,7 @@ def test_cli_outputs_are_byte_identical(tmp_path):
         code = cli.main(["run", "--iters", "2", "--seed", "3", "--out-dir", str(out)])
         assert code == 0
     names = ["records.csv", "prices.csv", "schedule.csv", "charging_plan.csv",
-             "sessions.csv", "summary.json"]
+             "sessions.csv", "summary.json", "strategies.csv", "cases.csv"]
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
     _report("determinism", f"{len(names)} output files byte-identical across runs")

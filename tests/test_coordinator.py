@@ -1,4 +1,4 @@
-"""Pricing loop, strategy/case runs and output writers on a reduced scenario."""
+"""Pricing loop, baselines, case report and output writers on a reduced scenario."""
 
 import copy
 import json
@@ -122,10 +122,10 @@ def test_records_recompute_to_stored_costs(small_rt, small_base):
 
 
 def test_strategies_are_reproducible(small_rt):
-    first = co.run_strategy(small_rt, co.Strategy.MG_ONLY)
-    second = co.run_strategy(small_rt, co.Strategy.MG_ONLY)
-    assert first.mg_cost == second.mg_cost
-    assert first.ev_cost == second.ev_cost
+    first = co.compute_baselines(small_rt)
+    second = co.compute_baselines(small_rt)
+    assert first.mg_cost_ideal == second.mg_cost_ideal
+    assert first.ev_cost_under_mg == second.ev_cost_under_mg
 
 
 def test_ev_only_uniform_price_oracle(small_doc):
@@ -133,10 +133,9 @@ def test_ev_only_uniform_price_oracle(small_doc):
     doc = copy.deepcopy(small_doc)
     doc["pricing"]["tou"] = {"peak": 0.62, "flat": 0.62, "offpeak": 0.62}
     rt = sc.prepare(doc, seed=3)
-    outcome = co.run_strategy(rt, co.Strategy.EV_ONLY)
     required = sum(s.required_energy for s in rt.sessions)
     expected = 0.62 * required / rt.ev_params.charge_efficiency + rt.station.daily_cost
-    assert outcome.ev_cost == pytest.approx(expected, abs=1e-6)
+    assert co.compute_baselines(rt).ev_cost_ideal == pytest.approx(expected, abs=1e-6)
 
 
 def _reference_iteration_zero(rt, base):
@@ -218,17 +217,17 @@ def test_large_fleet_input_100005_gets_a_feasible_schedule(baseline_scaled):
     assert max(constraint_residuals(selected.schedule, inputs).values()) <= RESIDUAL_TOL
 
 
-def test_case_collapses_when_responses_match(small_rt, small_base):
+def test_case_collapses_when_responses_match(small_rt):
     # with one iteration, the joint outcome is the grid-tariff baseline
-    report = co.run_case(small_rt, small_base, joint=co.run_joint(_with_iters(small_rt, 1), small_base))
+    report = co.run_case(small_rt, co.run_joint(_with_iters(small_rt, 1)))
     assert report.ev_load_dr == pytest.approx(report.ev_load_no_dr)
     assert report.price_dr == pytest.approx(report.price_no_dr)
     assert report.peak_to_valley_dr == report.peak_to_valley_no_dr
     assert report.correlation_dr == report.correlation_no_dr
 
 
-def test_case_report_consistency(small_rt, small_base):
-    report = co.run_case(small_rt, small_base, joint=co.run_joint(_with_iters(small_rt, 1), small_base))
+def test_case_report_consistency(small_rt):
+    report = co.run_case(small_rt, co.run_joint(_with_iters(small_rt, 1)))
     total = small_rt.base_load + report.ev_load_no_dr
     assert report.peak_to_valley_no_dr == pytest.approx(float(total.max() - total.min()))
 

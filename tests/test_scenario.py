@@ -1,6 +1,7 @@
 """Scenario schema validation and the command-line interface."""
 
 import copy
+import csv
 import json
 import os
 import re
@@ -238,6 +239,9 @@ def test_explicit_session_table(tmp_path, baseline_doc):
 
 # --- CLI ---
 
+OUTPUT_FILES = ("records.csv", "prices.csv", "schedule.csv", "charging_plan.csv", "sessions.csv",
+                "summary.json", "strategies.csv", "cases.csv")
+
 
 @pytest.fixture(scope="module")
 def quick_scenario(tmp_path_factory):
@@ -263,7 +267,7 @@ def test_cli_validate_rejects_garbage(tmp_path, capsys):
     assert "invalid scenario" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["run", "strategies", "cases"])
+@pytest.mark.parametrize("command", ["run"])
 def test_cli_reports_invalid_scenario(baseline_doc, tmp_path, capsys, command):
     doc = copy.deepcopy(baseline_doc)
     doc["pricing"]["p_ref"] = float("nan")
@@ -280,7 +284,20 @@ def test_cli_validate_rejects_nan_hourly_value(baseline_doc, tmp_path, capsys):
     assert capsys.readouterr().err == "invalid scenario: load.mean[5] must be finite\n"
 
 
-@pytest.mark.parametrize("command", ["run", "strategies", "cases"])
+@pytest.mark.filterwarnings("ignore")  # the overflow and quadrature warnings on the way
+def test_cli_validate_rejects_nan_bins_by_source_and_hour(baseline_doc, tmp_path, capsys):
+    # a Weibull density of inf * 0 inside its support integrates to NaN bins
+    doc = copy.deepcopy(baseline_doc)
+    doc["wt"]["v_in"] = 0.0
+    doc["wt"]["k"] = [400.0] * 24
+    doc["wt"]["c"] = [1.0] * 24
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--scenario", str(bad)]) == 1
+    assert capsys.readouterr().err == "invalid scenario: wt[0] cannot be discretized: probabilities must be finite\n"
+
+
+@pytest.mark.parametrize("command", ["run"])
 @pytest.mark.parametrize(
     "error",
     [InfeasibleScheduleError("exact dispatch: HiGHS status 2", {}), IpmError("no convergence within 100 iterations")],
@@ -298,28 +315,62 @@ def test_cli_reports_solver_failure_on_one_line(quick_scenario, tmp_path, capsys
 def test_cli_run_writes_outputs(quick_scenario, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["run", "--scenario", str(quick_scenario), "--out-dir", str(out)]) == 0
-    for name in ("records.csv", "prices.csv", "schedule.csv", "charging_plan.csv",
-                 "sessions.csv", "summary.json"):
-        assert (out / name).exists(), name
-    assert "selected iteration" in capsys.readouterr().out
-
-
-def test_cli_strategies_table(quick_scenario, tmp_path, capsys):
-    out = tmp_path / "out"
-    assert cli.main(["strategies", "--scenario", str(quick_scenario), "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(OUTPUT_FILES)
     text = (out / "strategies.csv").read_text().splitlines()
     assert text[0] == "strategy,mg_cost,ev_cost"
     assert [line.split(",")[0] for line in text[1:]] == ["mg_only", "joint", "ev_only"]
-    assert "strategy" in capsys.readouterr().out
-
-
-def test_cli_cases_report(quick_scenario, tmp_path, capsys):
-    out = tmp_path / "out"
-    assert cli.main(["cases", "--scenario", str(quick_scenario), "--out-dir", str(out)]) == 0
     lines = (out / "cases.csv").read_text().splitlines()
     assert lines[0].startswith("period,base_load,ev_load_no_dr,ev_load_dr")
     assert len(lines) == 25
-    assert "peak-to-valley" in capsys.readouterr().out
+    assert "selected iteration" in capsys.readouterr().out
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_cli_run_reports_agree_across_files(quick_scenario, tmp_path):
+    """The three reports of one run come from one pricing loop, so the values
+    they share are equal in their written (repr) form."""
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(quick_scenario), "--out-dir", str(out)]) == 0
+    strategies = {row["strategy"]: row for row in _csv_rows(out / "strategies.csv")}
+    (selected,) = [row for row in _csv_rows(out / "records.csv") if row["selected"] == "1"]
+    summary = json.loads((out / "summary.json").read_text())
+    cases = _csv_rows(out / "cases.csv")
+    *_, plan_total = csv.reader((out / "charging_plan.csv").read_text().splitlines())
+    prices = _csv_rows(out / "prices.csv")
+
+    assert (strategies["joint"]["mg_cost"], strategies["joint"]["ev_cost"]) == (selected["mg_cost"], selected["ev_cost"])
+    assert strategies["mg_only"]["mg_cost"] == repr(summary["mg_cost_ideal"])
+    assert strategies["ev_only"]["ev_cost"] == repr(summary["ev_cost_ideal"])
+    assert plan_total[0] == "total"
+    assert [row["ev_load_dr"] for row in cases] == plan_total[1:]
+    assert [row["price_dr"] for row in cases] == [row["real_time_selected"] for row in prices]
+
+
+def test_cli_run_computes_one_pricing_loop(quick_scenario, tmp_path, monkeypatch):
+    calls = {"compute_baselines": 0, "run_joint": 0}
+
+    def counted(name):
+        inner = getattr(co, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(co, name, counted(name))
+    assert cli.main(["run", "--scenario", str(quick_scenario), "--out-dir", str(tmp_path)]) == 0
+    assert calls == {"compute_baselines": 1, "run_joint": 1}
+
+
+def test_cli_lists_only_run_and_validate(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    assert "{run,validate}" in capsys.readouterr().out
 
 
 def test_run_does_not_import_scipy_stats(quick_scenario, tmp_path):

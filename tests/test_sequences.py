@@ -156,6 +156,8 @@ def test_sequence_invariants_enforced():
         ProbSequence(0.0, np.array([1.0]))
     with pytest.raises(ValueError):
         ProbSequence(2.5, np.array([1.5, -0.5]))
+    with pytest.raises(ValueError, match="finite"):
+        ProbSequence(2.5, np.array([1.0, np.nan, 0.0]))  # the range and sum checks are false for NaN
 
 
 def test_convolution_two_term_expansion():
