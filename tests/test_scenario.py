@@ -316,13 +316,25 @@ def test_cli_run_writes_outputs(quick_scenario, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["run", "--scenario", str(quick_scenario), "--out-dir", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == sorted(OUTPUT_FILES)
+    assert "selected iteration" in capsys.readouterr().out
+
+
+def test_cli_strategies_table(quick_scenario, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(quick_scenario), "--out-dir", str(out)]) == 0
     text = (out / "strategies.csv").read_text().splitlines()
     assert text[0] == "strategy,mg_cost,ev_cost"
     assert [line.split(",")[0] for line in text[1:]] == ["mg_only", "joint", "ev_only"]
+    assert "outputs written to" in capsys.readouterr().out
+
+
+def test_cli_cases_report(quick_scenario, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(quick_scenario), "--out-dir", str(out)]) == 0
     lines = (out / "cases.csv").read_text().splitlines()
     assert lines[0].startswith("period,base_load,ev_load_no_dr,ev_load_dr")
     assert len(lines) == 25
-    assert "selected iteration" in capsys.readouterr().out
+    assert "outputs written to" in capsys.readouterr().out
 
 
 def _csv_rows(path):
