@@ -9,14 +9,26 @@ The storage trajectory construction clamps each period's end energy into the
 band from which the boundary state is still reachable at rated power, which
 pins the final state exactly.
 
-Repair and fitness are the search's hot path, so everything that does not
-depend on the candidates is built once per :class:`UpperInputs`.  Their
-floating-point operations, operands and order are part of the results: the
-pricing loop feeds each schedule back into the next search, so a last-bit
+Repair and fitness are the search's hot path.  At a population of 60 their
+arrays hold 60 to 4320 doubles, so the cost of a numpy call is mostly its
+overhead, and the code is laid out to make calls few and cheap:
+
+* everything that does not depend on the candidates is built once per
+  :class:`UpperInputs`, scalars as 0-d arrays;
+* repair works on the unit arrays unit-major, in C-contiguous (U, P, T)
+  buffers whose per-unit blocks are contiguous (P, T) arrays, and runs the
+  storage recursion time-major, on contiguous rows of one period each.
+
+Their floating-point operations, operands and order are part of the results:
+the pricing loop feeds each schedule back into the next search, so a last-bit
 change in one fitness value can send the search down another path and move a
 day's cost by several percent.  A rewrite for speed must therefore keep every
 operation bit for bit, down to the sign of zero that ``np.maximum`` and
 ``np.minimum`` return on ties and the memory layout that a sum reduces over.
+Every array summed over periods, or over units and periods, is candidate-major
+and C-contiguous, because the pairwise order of such a sum follows the memory
+layout; a sum over units alone adds the unit blocks in unit order,
+``(a0 + a1) + a2``.
 
 :func:`solve_upper_exact` solves the same deterministic model exactly, as a
 MILP with HiGHS.  It gives the microgrid's stand-alone optimum (the ideal
@@ -27,6 +39,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import sparse
@@ -121,7 +134,10 @@ class UpperInputs:
     renewable_expectation: np.ndarray = field(init=False)
     reserve_requirement: np.ndarray = field(init=False)
     # Constants of repair and fitness, built once.  Per-unit columns are
-    # (U, 1) so that they broadcast against (P, U, T) populations.
+    # (U, 1, 1), so that they broadcast against the unit-major (U, P, T)
+    # blocks of a population; one schedule's (U, T) arrays take them as
+    # ``[:, 0]``.  Scalars are 0-d arrays, which a ufunc takes as they are,
+    # where it would convert a Python float on every call.
     p_min: np.ndarray = field(init=False)
     p_max: np.ndarray = field(init=False)
     fixed_fuel: np.ndarray = field(init=False)
@@ -129,11 +145,14 @@ class UpperInputs:
     reserve_cost: np.ndarray = field(init=False)
     startup_cost: np.ndarray = field(init=False)
     demand: np.ndarray = field(init=False)  # (T,) base plus EV load, kW
-    revenue: float = field(init=False)  # EV energy bill, $
+    # ``ess``'s parameters by name, gain_max, minus_revenue (minus the EV
+    # energy bill, $) and penalty_weight, as 0-d arrays
+    scalars: SimpleNamespace = field(init=False)
     fuel_order: tuple[int, ...] = field(init=False)  # units, cheapest fuel first
     reserve_order: tuple = field(init=False)  # "ess" and units, cheapest reserve first
-    lo_reach: np.ndarray = field(init=False)  # (T,) end-of-period storage band from
-    hi_reach: np.ndarray = field(init=False)  # which soc_start is reachable at rated power
+    # per period, the (low, high) band of end-of-period storage energy from
+    # which soc_start is still reachable at rated power
+    reach: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False)
 
     def __post_init__(self):
         self.base_load = np.asarray(self.base_load, dtype=float)
@@ -149,19 +168,27 @@ class UpperInputs:
 
         units, ess = self.units, self.ess
         for name in ("p_min", "p_max", "fixed_fuel", "fuel_slope", "reserve_cost", "startup_cost"):
-            setattr(self, name, np.array([getattr(u, name) for u in units])[:, None])
+            setattr(self, name, np.array([getattr(u, name) for u in units])[:, None, None])
         self.demand = self.base_load + self.ev_load
-        self.revenue = float(np.dot(self.ev_load, self.prices))
+        gain_max = ess.eta_ch * ess.p_ch_max  # kWh gained per full-charge period
+        self.scalars = SimpleNamespace(**{
+            name: np.array(value, dtype=float) for name, value in [
+                *vars(ess).items(),
+                ("gain_max", gain_max),
+                ("minus_revenue", -float(np.dot(self.ev_load, self.prices))),
+                ("penalty_weight", self.penalty_weight),
+            ]
+        })
         self.fuel_order = tuple(sorted(range(len(units)), key=lambda i: (units[i].fuel_slope, i)))
         sources = [("ess", ess.reserve_price)] + [(n, u.reserve_cost) for n, u in enumerate(units)]
         self.reserve_order = tuple(
             source for source, _ in sorted(sources, key=lambda item: (item[1], str(item[0])))
         )
         remaining = t - np.arange(1, t + 1)
-        gain_max = ess.eta_ch * ess.p_ch_max  # kWh gained per full-charge period
         drop_max = ess.p_dc_max / ess.eta_dc  # kWh shed per full-discharge period
-        self.lo_reach = np.maximum(ess.soc_min, ess.soc_start - remaining * gain_max)
-        self.hi_reach = np.minimum(ess.soc_max, ess.soc_start + remaining * drop_max)
+        lo_reach = np.maximum(ess.soc_min, ess.soc_start - remaining * gain_max)
+        hi_reach = np.minimum(ess.soc_max, ess.soc_start + remaining * drop_max)
+        self.reach = tuple((lo_reach[k, ...], hi_reach[k, ...]) for k in range(t))
 
     @property
     def n_periods(self) -> int:
@@ -190,6 +217,9 @@ def net_operating_cost(
         )
     return -revenue + ess_cost + mt_cost
 
+
+_ZERO = np.zeros(())  # the 0-d zero that repair boxes with
+_ZERO.flags.writeable = False
 
 # ---------------------------------------------------------------------------
 # Decision encoding and repair
@@ -238,128 +268,160 @@ def _repair_population(
 ):
     """Vectorized schedule construction for a population of candidates.
 
-    Shapes: (P, U, T) for unit arrays, (P, T) for storage/system arrays.
-    Returns repaired arrays plus per-candidate penalty magnitudes.
+    Takes and returns (P, U, T) unit arrays and (P, T) storage and system
+    arrays, candidates on axis 0; ``soc`` is (P, T + 1).  Also returns the
+    per-candidate penalty magnitudes: the power deficit and the reserve
+    shortfall.
+
+    The unit arrays are worked on unit-major: repair copies the genes once
+    into C-contiguous (U, P, T) buffers, so that each unit's block is one
+    contiguous (P, T) array, and returns the (P, U, T) transposes of those
+    buffers (``on`` is copied only if its transpose is not already such a
+    buffer).  A sum over units adds the blocks in unit order,
+    ``(a0 + a1) + a2``, as ``sum`` over the unit axis of a (P, U, T) array
+    does.  Every array summed over periods here or in the fitness is
+    candidate-major and C-contiguous, because the pairwise order of such a
+    sum follows the memory layout.
 
     Boxes are written as ``np.minimum(np.maximum(...))``, which costs a
     fraction of ``np.clip`` on arrays this small.  Both ufuncs return their
     second operand on a tie, which only shows between zeros of opposite sign.
-    Boxes with Python-scalar bounds take ``x`` second, as ``np.clip`` returns
-    ``x`` there; the others take the bound second, as ``np.clip`` does with
+    Boxes with scalar bounds take ``x`` second, as ``np.clip`` returns ``x``
+    there; the others take the bound second, as ``np.clip`` does with
     full-size array bounds.  Genes never hold -0.0 (the search's own box
     returns its +0.0 bound), so no such tie reaches the array-bounded boxes.
     """
-    ess = inputs.ess
-    pop, _, t = p_mt.shape
-    p_max = inputs.p_max
+    s = inputs.scalars
+    pop, n_units, t = p_mt.shape
 
-    p_mt = on * np.minimum(np.maximum(p_mt, inputs.p_min), p_max)
-    r_mt = np.minimum(np.maximum(r_mt, 0.0), on * p_max - p_mt)
+    on = np.ascontiguousarray(on.transpose(1, 0, 2))
+    on_max = on * inputs.p_max
+    p_mt = np.maximum(p_mt.transpose(1, 0, 2), inputs.p_min, out=np.empty_like(on))
+    np.minimum(p_mt, inputs.p_max, out=p_mt)
+    np.multiply(on, p_mt, out=p_mt)
+    room = on_max - p_mt  # the reserve's cap, and where the deficit lift starts
+    r_mt = np.maximum(r_mt.transpose(1, 0, 2), _ZERO, out=np.empty_like(on))
+    np.minimum(r_mt, room, out=r_mt)
 
     # Storage: mutual exclusion, power limits, then an energy trajectory that
     # stays inside the capacity band and can always return to the boundary
     # state at rated power.
     keep_ch = p_ch >= p_dc
-    p_ch = np.where(keep_ch, np.minimum(ess.p_ch_max, np.maximum(0.0, p_ch)), 0.0)
-    p_dc = np.where(keep_ch, 0.0, np.minimum(ess.p_dc_max, np.maximum(0.0, p_dc)))
-
-    gain_max = ess.eta_ch * ess.p_ch_max  # kWh gained per full-charge period
-    delta = ess.eta_ch * p_ch - p_dc / ess.eta_dc
+    p_ch = np.where(keep_ch, np.minimum(s.p_ch_max, np.maximum(_ZERO, p_ch)), _ZERO)
+    p_dc = np.where(keep_ch, _ZERO, np.minimum(s.p_dc_max, np.maximum(_ZERO, p_dc)))
 
     # Each period's end energy is boxed into [lo_reach, min(soc + gain_max,
     # hi_reach)].  The step's own floor, soc - p_dc_max / eta_dc, needs no
     # operation: after the power box and the mutual exclusion,
     # delta >= -p_dc_max / eta_dc, and rounded addition is monotone, so
-    # soc + delta never lies below it.  The recursion runs time-major so that
-    # every step reads and writes contiguous rows in place.
+    # soc + delta never lies below it.  The recursion runs time-major, so
+    # that every step reads and writes contiguous rows in place.
+    delta = np.empty((t, pop))
+    np.subtract(s.eta_ch * p_ch, p_dc / s.eta_dc, out=delta.T)
     soc_t = np.empty((t + 1, pop))
-    soc_t[0] = ess.soc_start
+    soc_t[0] = s.soc_start
     rows = list(soc_t)
     step_hi = np.empty(pop)
-    for cur, nxt, step, lo, hi in zip(rows, rows[1:], delta.T, inputs.lo_reach.tolist(),
-                                      inputs.hi_reach.tolist()):
+    gain_max = s.gain_max
+    for cur, nxt, step, (lo, hi) in zip(rows, rows[1:], delta, inputs.reach):
         np.add(cur, step, out=nxt)
         np.maximum(nxt, lo, out=nxt)
         np.add(cur, gain_max, out=step_hi)
         np.minimum(step_hi, hi, out=step_hi)
         np.minimum(nxt, step_hi, out=nxt)
-    # Candidate-major and C-ordered again: the sums over periods in the
-    # fitness reduce in an order that depends on the memory layout.
     soc = np.ascontiguousarray(soc_t.T)
 
     moves = soc[:, 1:] - soc[:, :-1]
-    p_ch = np.maximum(moves, 0.0) / ess.eta_ch
-    p_dc = -np.minimum(moves, 0.0) * ess.eta_dc
+    p_ch = np.maximum(moves, _ZERO) / s.eta_ch
+    p_dc = -np.minimum(moves, _ZERO) * s.eta_dc
 
     # Storage reserve: bounded by the energy above the floor and the unused
     # discharge rating.
-    res_cap = np.minimum(
-        ess.eta_dc * (soc[:, :-1] - ess.soc_min), ess.p_dc_max - p_dc
-    )
-    res_cap = np.maximum(res_cap, 0.0)
-    p_res = np.minimum(np.maximum(p_res, 0.0), res_cap)
+    res_cap = np.minimum(s.eta_dc * (soc[:, :-1] - s.soc_min), s.p_dc_max - p_dc)
+    np.maximum(res_cap, _ZERO, out=res_cap)
+    p_res = np.minimum(np.maximum(p_res, _ZERO), res_cap)
 
     # Deficit lift: close any supply shortfall from committed units' free
     # headroom, cheapest marginal fuel first.  Remaining deficit is penalized
     # (it means the commitment pattern itself is short).
-    supply = p_mt.sum(axis=1) + p_dc - p_ch + inputs.renewable_expectation[None, :]
-    demand = inputs.demand
-    deficit = np.maximum(demand - supply, 0.0)
-    # A lift changes only its own unit's rows, so every unit's headroom can
+    renewable, demand = inputs.renewable_expectation, inputs.demand
+    supply = _sum_units(p_mt) + p_dc - p_ch + renewable
+    deficit = np.maximum(demand - supply, _ZERO)
+    # A lift changes only its own unit's block, so every unit's headroom can
     # be taken before the loop.
-    headroom = np.maximum(on * p_max - p_mt - r_mt, 0.0)
+    headroom = np.subtract(room, r_mt, out=room)
+    np.maximum(headroom, _ZERO, out=headroom)
+    add = np.empty_like(deficit)
     for n in inputs.fuel_order:
-        add = np.minimum(deficit, headroom[:, n, :])
-        p_mt[:, n, :] += add
-        deficit -= add
+        np.minimum(deficit, headroom[n], out=add)
+        np.add(p_mt[n], add, out=p_mt[n])
+        np.subtract(deficit, add, out=deficit)
 
     # Reserve lift: cover any requirement shortfall with the cheapest
     # remaining headroom so the chance constraint binds instead of penalizing.
-    need = inputs.reserve_requirement[None, :] - p_res - r_mt.sum(axis=1)
-    np.maximum(need, 0.0, out=need)
-    headroom = np.maximum(on * p_max - p_mt - r_mt, 0.0)
+    need = inputs.reserve_requirement - p_res - _sum_units(r_mt)
+    np.maximum(need, _ZERO, out=need)
+    np.subtract(on_max, p_mt, out=headroom)
+    np.subtract(headroom, r_mt, out=headroom)
+    np.maximum(headroom, _ZERO, out=headroom)
     for source in inputs.reserve_order:
         if source == "ess":
-            add = np.minimum(need, res_cap - p_res)
-            p_res += add
+            np.minimum(need, res_cap - p_res, out=add)
+            np.add(p_res, add, out=p_res)
         else:
-            add = np.minimum(need, headroom[:, source, :])
-            r_mt[:, source, :] += add
-        need -= add
+            np.minimum(need, headroom[source], out=add)
+            np.add(r_mt[source], add, out=r_mt[source])
+        np.subtract(need, add, out=need)
     reserve_short = need
 
-    supply = p_mt.sum(axis=1) + p_dc - p_ch + inputs.renewable_expectation[None, :]
-    p_un = np.maximum(supply - demand, 0.0)
-    deficit = np.maximum(demand - supply, 0.0)
+    supply = _sum_units(p_mt) + p_dc - p_ch + renewable
+    p_un = np.maximum(supply - demand, _ZERO)
+    deficit = np.maximum(demand - supply, _ZERO)
 
     # Start-ups: positive steps of the commitment, from off before period 0.
     # Commitments are 0/1, so each difference is exact.
     startup = np.empty_like(on)
     startup[:, :, 0] = on[:, :, 0]
     np.subtract(on[:, :, 1:], on[:, :, :-1], out=startup[:, :, 1:])
-    np.maximum(startup, 0.0, out=startup)
-    return p_mt, r_mt, p_ch, p_dc, p_res, p_un, soc, startup, deficit, reserve_short
+    np.maximum(startup, _ZERO, out=startup)
+    return (p_mt.transpose(1, 0, 2), r_mt.transpose(1, 0, 2), p_ch, p_dc, p_res, p_un, soc,
+            startup.transpose(1, 0, 2), deficit, reserve_short)
+
+
+def _sum_units(blocks: np.ndarray) -> np.ndarray:
+    """Sum over the units of a unit-major (U, P, T) array, ``(a0 + a1) + a2``:
+    the order in which ``sum`` adds over the unit axis of a (P, U, T) array."""
+    total = blocks[0]
+    for block in blocks[1:]:
+        total = total + block
+    return total
 
 
 def _population_fitness(x: np.ndarray, b: np.ndarray, inputs: UpperInputs) -> np.ndarray:
-    ess = inputs.ess
+    s = inputs.scalars
     pop = x.shape[0]
     n_units, t = len(inputs.units), inputs.n_periods
-    on = b.reshape(pop, n_units, t)
+    # Unit-major commitments, handed to repair as the (P, U, T) transpose
+    on = b.reshape(pop, n_units, t).transpose(1, 0, 2).copy()
     p_mt, r_mt, p_ch, p_dc, p_res, p_un, soc, startup, deficit, short = _repair_population(
-        *_split_genes(x, n_units, t), on, inputs
+        *_split_genes(x, n_units, t), on.transpose(1, 0, 2), inputs
     )
 
-    cost = -inputs.revenue + (
-        ess.discharge_price * p_dc + ess.charge_price * p_ch + ess.reserve_price * p_res
+    cost = s.minus_revenue + (
+        s.discharge_price * p_dc + s.charge_price * p_ch + s.reserve_price * p_res
     ).sum(axis=1)
-    cost += (
-        inputs.reserve_cost * r_mt
-        + inputs.startup_cost * startup
-        + on * (inputs.fixed_fuel + inputs.fuel_slope * p_mt)
-    ).sum(axis=(1, 2))
+    # The unit terms are worked unit-major and written into one C-contiguous
+    # (P, U, T) buffer, which is summed over units and periods at once.
+    reserve_and_start = inputs.reserve_cost * r_mt.transpose(1, 0, 2)
+    reserve_and_start += inputs.startup_cost * startup.transpose(1, 0, 2)
+    fuel = inputs.fuel_slope * p_mt.transpose(1, 0, 2)
+    np.add(inputs.fixed_fuel, fuel, out=fuel)
+    np.multiply(on, fuel, out=fuel)
+    unit_cost = np.empty((pop, n_units, t))
+    np.add(reserve_and_start, fuel, out=unit_cost.transpose(1, 0, 2))
+    cost += unit_cost.sum(axis=(1, 2))
 
-    penalty = inputs.penalty_weight * (deficit.sum(axis=1) + short.sum(axis=1))
+    penalty = s.penalty_weight * (deficit.sum(axis=1) + short.sum(axis=1))
     return cost + penalty
 
 
@@ -384,7 +446,7 @@ def repair_and_close_balance(
 def constraint_residuals(sched: UpperSchedule, inputs: UpperInputs) -> dict[str, float]:
     """Largest violation of each dispatch constraint (kW or kWh)."""
     ess = inputs.ess
-    p_min, p_max = inputs.p_min, inputs.p_max
+    p_min, p_max = inputs.p_min[:, 0], inputs.p_max[:, 0]
 
     mt_low = np.maximum(sched.on * p_min - sched.p_mt, 0.0)
     mt_high = np.maximum(sched.p_mt - sched.on * p_max, 0.0)
@@ -507,8 +569,8 @@ def solve_upper_exact(inputs: UpperInputs) -> tuple[UpperSchedule, float]:
     blocks = [
         # generator boxes: on * p_min <= p_mt, and the headroom cap
         # p_mt + r_mt <= on * p_max (which also bounds p_mt)
-        (ut, -np.inf, 0.0, [(unit_row, on, inputs.p_min), (unit_row, p_mt, -1.0)]),
-        (ut, -np.inf, 0.0, [(unit_row, p_mt, 1.0), (unit_row, r_mt, 1.0), (unit_row, on, -inputs.p_max)]),
+        (ut, -np.inf, 0.0, [(unit_row, on, inputs.p_min[:, 0]), (unit_row, p_mt, -1.0)]),
+        (ut, -np.inf, 0.0, [(unit_row, p_mt, 1.0), (unit_row, r_mt, 1.0), (unit_row, on, -inputs.p_max[:, 0])]),
         (ut, 0.0, np.inf, [(unit_row, su, 1.0), (unit_row, on, -1.0), (unit_row[:, 1:], on[:, :-1], 1.0)]),
         # storage: SOC recursion and one mode per period
         (t, 0.0, 0.0, [(hour_row, soc[1:], 1.0), (hour_row, soc[:-1], -1.0),
@@ -539,12 +601,12 @@ def solve_upper_exact(inputs: UpperInputs) -> tuple[UpperSchedule, float]:
 
     lo, hi, c = np.zeros(col.size), np.full(col.size, np.inf), np.zeros(col.size)
     hi[on], hi[mode], hi[su] = 1.0, 1.0, 1.0
-    hi[p_mt], hi[r_mt] = inputs.p_max, inputs.p_max
+    hi[p_mt], hi[r_mt] = inputs.p_max[:, 0], inputs.p_max[:, 0]
     hi[p_ch], hi[p_dc], hi[p_res] = ess.p_ch_max, ess.p_dc_max, ess.p_dc_max
     lo[soc], hi[soc] = ess.soc_min, ess.soc_max
     lo[soc[[0, -1]]] = hi[soc[[0, -1]]] = ess.soc_start
-    c[on], c[su] = inputs.fixed_fuel, inputs.startup_cost
-    c[p_mt], c[r_mt] = inputs.fuel_slope, inputs.reserve_cost
+    c[on], c[su] = inputs.fixed_fuel[:, 0], inputs.startup_cost[:, 0]
+    c[p_mt], c[r_mt] = inputs.fuel_slope[:, 0], inputs.reserve_cost[:, 0]
     c[p_ch], c[p_dc], c[p_res] = ess.charge_price, ess.discharge_price, ess.reserve_price
     integrality = np.zeros(col.size)
     integrality[on] = integrality[mode] = 1

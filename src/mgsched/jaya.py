@@ -118,8 +118,15 @@ def optimize(
     def evaluate(xs, bs):
         return np.asarray(objective(xs, bs), dtype=float)
 
+    def variance():
+        # np.var's own operations, without its per-call overhead
+        dev = fitness - fitness.sum() / pop
+        dev *= dev
+        return float(dev.sum() / pop)
+
     fitness = evaluate(x, b)
     evaluations = pop
+    best_i = int(np.argmin(fitness))
 
     history = np.empty(config.max_iter)
     restarts = np.zeros(config.max_iter, dtype=bool)
@@ -129,8 +136,12 @@ def optimize(
     z_new = np.empty_like(z)
     x_new, b_new = z_new[:, :n_cont], z_new[:, n_cont:]
     r1, r2 = np.empty_like(z), np.empty_like(z)
+    # The box bounds of every gene as population-sized arrays, so that the
+    # box is two passes over contiguous memory.  A relaxed binary is boxed
+    # into (-inf, inf), which returns it unchanged.
+    box_lo = np.tile(np.concatenate([lower, np.full(n_binary, -np.inf)]), (pop, 1))
+    box_hi = np.tile(np.concatenate([upper, np.full(n_binary, np.inf)]), (pop, 1))
     for it in range(config.max_iter):
-        best_i = int(np.argmin(fitness))
         worst_i = int(np.argmax(fitness))
 
         rng.random(out=r1)
@@ -138,17 +149,17 @@ def optimize(
         jaya_update(z, z[best_i], z[worst_i], r1, r2, out=z_new)
         # Box the continuous genes (the bound wins a tie, as in np.clip with
         # array bounds) and threshold the relaxed binaries.
-        np.maximum(x_new, lower, out=x_new)
-        np.minimum(x_new, upper, out=x_new)
+        np.maximum(z_new, box_lo, out=z_new)
+        np.minimum(z_new, box_hi, out=z_new)
         np.greater_equal(b_new, 0.5, out=b_new)
 
         f_new = evaluate(x_new, b_new)
         evaluations += pop
         improved = f_new < fitness
-        np.copyto(z, z_new, where=improved[:, None])
-        np.copyto(fitness, f_new, where=improved)
+        z[improved] = z_new[improved]
+        fitness[improved] = f_new[improved]
 
-        var_curr = float(np.var(fitness))
+        var_curr = variance()
         best_i = int(np.argmin(fitness))
         stagnant = var_prev is not None and restart_check(var_prev, var_curr, config.thr1, config.thr2)
         if stagnant and cooldown == 0:
@@ -163,7 +174,7 @@ def optimize(
                 b[chosen] = rng.integers(0, 2, size=(k, n_binary))
             fitness[chosen] = evaluate(x[chosen], b[chosen])
             evaluations += k
-            var_curr = float(np.var(fitness))
+            var_curr = variance()
             best_i = int(np.argmin(fitness))
         elif cooldown > 0:
             cooldown -= 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -267,11 +268,21 @@ class ScenarioRuntime:
 def _discretized(spec: dist.PdfSpec, p_rated: float, q: float, source: str) -> ProbSequence:
     """``discretize``, with any failure reported as the source and hour whose
     distribution gave it (a density that is ``inf * 0`` inside its support
-    yields NaN bins, for example)."""
-    try:
-        return discretize(spec, p_rated, q)
-    except ValueError as exc:
-        raise ScenarioError(f"{source} cannot be discretized: {exc}") from exc
+    yields NaN bins, for example).
+
+    The warnings raised on the way to such a failure (numpy's overflow and
+    invalid-value warnings, QUADPACK's ``IntegrationWarning``) are dropped
+    with it, so that the error is the whole report.  A discretization that
+    succeeds shows its warnings after it, as they would have been shown.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            seq = discretize(spec, p_rated, q)
+        except ValueError as exc:
+            raise ScenarioError(f"{source} cannot be discretized: {exc}") from exc
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    return seq
 
 
 def prepare(doc: dict, seed: int | None = None, iterations: int | None = None,

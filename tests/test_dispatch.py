@@ -419,6 +419,20 @@ def _same_bits(got, want):
     return got.tobytes() == want.tobytes()
 
 
+def _assert_matches_reference(xv, bv, x, b, inputs, case):
+    """Repair and fitness of the genes ``xv``, ``bv`` equal the reference's
+    of the same genes ``x``, ``b`` bit for bit; returns the reference repair."""
+    pop = x.shape[0]
+    n_units, t = len(inputs.units), inputs.n_periods
+    got = _repair_population(*_split_genes(xv, n_units, t), bv.reshape(pop, n_units, t), inputs)
+    want = _reference_repair(*_split_genes(x, n_units, t), b.reshape(pop, n_units, t), inputs)
+    for name, g, w in zip(("p_mt", "r_mt", "p_ch", "p_dc", "p_res", "p_un", "soc",
+                           "startup", "deficit", "reserve_short"), got, want):
+        assert _same_bits(g, w), (case, name)
+    assert _same_bits(_population_fitness(xv, bv, inputs), _reference_fitness(x, b, inputs)), case
+    return want
+
+
 def test_repair_and_fitness_match_reference_bitwise():
     rng = np.random.default_rng(20261018)
     styles = ("random", "off", "on", "charge", "discharge")
@@ -426,21 +440,27 @@ def test_repair_and_fitness_match_reference_bitwise():
         inputs = _oracle_inputs(rng, case)
         pop = 1 if case % 7 == 0 else int(rng.integers(2, 61))
         x, b = _oracle_population(rng, inputs, pop, styles[case % len(styles)])
-        n_units, t = len(inputs.units), inputs.n_periods
         xv, bv = _as_search_views(x, b)
-
-        got = _repair_population(*_split_genes(xv, n_units, t), bv.reshape(pop, n_units, t), inputs)
-        want = _reference_repair(*_split_genes(x, n_units, t), b.reshape(pop, n_units, t), inputs)
-        for name, g, w in zip(("p_mt", "r_mt", "p_ch", "p_dc", "p_res", "p_un", "soc",
-                               "startup", "deficit", "reserve_short"), got, want):
-            assert _same_bits(g, w), (case, name)
-        assert _same_bits(_population_fitness(xv, bv, inputs), _reference_fitness(x, b, inputs)), case
+        want = _assert_matches_reference(xv, bv, x, b, inputs, case)
 
         if pop == 1:
             sched = repair_and_close_balance(x[0], b[0], inputs)
             for name, w in zip(("p_mt", "r_mt", "p_ch", "p_dc", "p_res", "p_un", "soc", "startup"),
                                want):
                 assert _same_bits(getattr(sched, name), w[0]), (case, name)
+
+    # Populations of 120-200 put a (P, U, T) array past numpy's 8192-element
+    # ufunc buffer.  A restart evaluates rows taken by fancy indexing, which
+    # are contiguous copies where the search otherwise hands over views.
+    rng = np.random.default_rng(20261020)
+    for case in range(40):
+        inputs = _oracle_inputs(rng, case)
+        pop = int(rng.integers(120, 201))
+        x, b = _oracle_population(rng, inputs, pop, styles[case % len(styles)])
+        xv, bv = _as_search_views(x, b)
+        _assert_matches_reference(xv, bv, x, b, inputs, ("large", case))
+        chosen = rng.choice(pop, size=int(rng.integers(1, pop)), replace=False)
+        _assert_matches_reference(xv[chosen], bv[chosen], x[chosen], b[chosen], inputs, ("rows", case))
 
 
 # ---------------------------------------------------------------------------

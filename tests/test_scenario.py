@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -284,17 +285,56 @@ def test_cli_validate_rejects_nan_hourly_value(baseline_doc, tmp_path, capsys):
     assert capsys.readouterr().err == "invalid scenario: load.mean[5] must be finite\n"
 
 
-@pytest.mark.filterwarnings("ignore")  # the overflow and quadrature warnings on the way
-def test_cli_validate_rejects_nan_bins_by_source_and_hour(baseline_doc, tmp_path, capsys):
-    # a Weibull density of inf * 0 inside its support integrates to NaN bins
+NAN_BINS_ERROR = "invalid scenario: wt[0] cannot be discretized: probabilities must be finite\n"
+
+
+def _nan_bins_doc(baseline_doc):
+    """The baseline with a Weibull density of inf * 0 inside its support,
+    which integrates to NaN bins."""
     doc = copy.deepcopy(baseline_doc)
     doc["wt"]["v_in"] = 0.0
     doc["wt"]["k"] = [400.0] * 24
     doc["wt"]["c"] = [1.0] * 24
+    return doc
+
+
+def test_cli_validate_rejects_nan_bins_by_source_and_hour(baseline_doc, tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(json.dumps(_nan_bins_doc(baseline_doc)))
     assert cli.main(["validate", "--scenario", str(bad)]) == 1
-    assert capsys.readouterr().err == "invalid scenario: wt[0] cannot be discretized: probabilities must be finite\n"
+    assert capsys.readouterr().err == NAN_BINS_ERROR
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_nan_bins_error_is_the_whole_of_stderr(baseline_doc, tmp_path, command):
+    # pytest captures warnings, so only a separate interpreter shows what a
+    # shell user sees
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_nan_bins_doc(baseline_doc)))
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONWARNINGS", None)
+    args = [sys.executable, "-m", "mgsched.cli", command, "--scenario", str(bad)]
+    if command == "run":
+        args += ["--iters", "1", "--out-dir", str(tmp_path / "out")]
+    done = subprocess.run(args, capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr == NAN_BINS_ERROR
+
+
+def test_discretization_that_succeeds_shows_its_warnings(monkeypatch):
+    spec = sc.dist.beta_pv_pdf(2.0, 3.0, 10.0)
+    discretize = sc.discretize
+
+    def warn_then_discretize(*args):
+        warnings.warn("from the density", RuntimeWarning)
+        return discretize(*args)
+
+    want = discretize(spec, 10.0, 2.5)
+    monkeypatch.setattr(sc, "discretize", warn_then_discretize)
+    with pytest.warns(RuntimeWarning, match="from the density"):
+        got = sc._discretized(spec, 10.0, 2.5, "pv[0]")
+    assert got.probs.tobytes() == want.probs.tobytes()
 
 
 @pytest.mark.parametrize("command", ["run"])
