@@ -1,13 +1,17 @@
 """Microgrid day-ahead dispatch: microturbine commitment, storage operation
 and spinning reserve under a chance-constrained reserve requirement.
 
-The decision vector is repaired into a schedule that satisfies the generator
-boxes, storage dynamics and limits, the start-equals-end storage boundary,
-and the reserve caps *by construction*; only the power-balance deficit and
-any un-coverable reserve shortfall remain as penalty terms for the search.
-The storage trajectory construction clamps each period's end energy into the
-band from which the boundary state is still reachable at rated power, which
-pins the final state exactly.
+The search decides the unit commitments and the storage's charge and
+discharge requests; repair builds the rest of the schedule from them.  It
+makes the storage dynamics and limits and the start-equals-end storage
+boundary hold *by construction*, and sets the generator outputs and reserves
+by a priority rule (as genetic unit commitment does): every committed unit
+starts at its minimum output, a deficit lift raises the outputs in fuel merit
+order, and a reserve lift takes reserve in reserve-cost order.  Only the
+power-balance deficit and any un-coverable reserve shortfall remain as
+penalty terms for the search.  The storage trajectory construction clamps
+each period's end energy into the band from which the boundary state is
+still reachable at rated power, which pins the final state exactly.
 
 Repair and fitness are the search's hot path.  At a population of 60 their
 arrays hold 60 to 4320 doubles, so the cost of a numpy call is mostly its
@@ -145,8 +149,8 @@ class UpperInputs:
     reserve_cost: np.ndarray = field(init=False)
     startup_cost: np.ndarray = field(init=False)
     demand: np.ndarray = field(init=False)  # (T,) base plus EV load, kW
-    # ``ess``'s parameters by name, gain_max, minus_revenue (minus the EV
-    # energy bill, $) and penalty_weight, as 0-d arrays
+    # ``ess``'s parameters by name, minus_revenue (minus the EV energy
+    # bill, $) and penalty_weight, as 0-d arrays
     scalars: SimpleNamespace = field(init=False)
     fuel_order: tuple[int, ...] = field(init=False)  # units, cheapest fuel first
     reserve_order: tuple = field(init=False)  # "ess" and units, cheapest reserve first
@@ -170,11 +174,9 @@ class UpperInputs:
         for name in ("p_min", "p_max", "fixed_fuel", "fuel_slope", "reserve_cost", "startup_cost"):
             setattr(self, name, np.array([getattr(u, name) for u in units])[:, None, None])
         self.demand = self.base_load + self.ev_load
-        gain_max = ess.eta_ch * ess.p_ch_max  # kWh gained per full-charge period
         self.scalars = SimpleNamespace(**{
             name: np.array(value, dtype=float) for name, value in [
                 *vars(ess).items(),
-                ("gain_max", gain_max),
                 ("minus_revenue", -float(np.dot(self.ev_load, self.prices))),
                 ("penalty_weight", self.penalty_weight),
             ]
@@ -185,6 +187,7 @@ class UpperInputs:
             source for source, _ in sorted(sources, key=lambda item: (item[1], str(item[0])))
         )
         remaining = t - np.arange(1, t + 1)
+        gain_max = ess.eta_ch * ess.p_ch_max  # kWh gained per full-charge period
         drop_max = ess.p_dc_max / ess.eta_dc  # kWh shed per full-discharge period
         lo_reach = np.maximum(ess.soc_min, ess.soc_start - remaining * gain_max)
         hi_reach = np.minimum(ess.soc_max, ess.soc_start + remaining * drop_max)
@@ -224,84 +227,61 @@ _ZERO.flags.writeable = False
 # ---------------------------------------------------------------------------
 # Decision encoding and repair
 #
-# Continuous genes per candidate: [p_mt (U*T), r_mt (U*T), p_ch (T),
-# p_dc (T), p_res (T)]; binary genes: commitment states u (U*T).
-# Start-up indicators are derived from commitments, not searched.
+# Continuous genes per candidate: the storage requests [p_ch (T), p_dc (T)];
+# binary genes: commitment states u (U*T).  Generator outputs, reserves and
+# start-up indicators are derived in repair, not searched.
 # ---------------------------------------------------------------------------
 
 
 def _gene_bounds(inputs: UpperInputs) -> tuple[np.ndarray, np.ndarray, int]:
-    units, ess, t = inputs.units, inputs.ess, inputs.n_periods
-    u = len(units)
-    lo = np.zeros(2 * u * t + 3 * t)
-    hi = np.concatenate(
-        [
-            np.repeat([unit.p_max for unit in units], t),  # p_mt
-            np.repeat([unit.p_max for unit in units], t),  # r_mt
-            np.full(t, ess.p_ch_max),
-            np.full(t, ess.p_dc_max),
-            np.full(t, ess.p_dc_max),  # ESS reserve offer
-        ]
-    )
-    return lo, hi, u * t
+    ess, t = inputs.ess, inputs.n_periods
+    lo = np.zeros(2 * t)
+    hi = np.concatenate([np.full(t, ess.p_ch_max), np.full(t, ess.p_dc_max)])
+    return lo, hi, len(inputs.units) * t
 
 
-def _split_genes(x: np.ndarray, n_units: int, t: int):
-    p = x.shape[0]
-    ut = n_units * t
-    p_mt = x[:, :ut].reshape(p, n_units, t)
-    r_mt = x[:, ut : 2 * ut].reshape(p, n_units, t)
-    p_ch = x[:, 2 * ut : 2 * ut + t]
-    p_dc = x[:, 2 * ut + t : 2 * ut + 2 * t]
-    p_res = x[:, 2 * ut + 2 * t : 2 * ut + 3 * t]
-    return p_mt, r_mt, p_ch, p_dc, p_res
+def _split_genes(x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (P, T) ``p_ch`` and ``p_dc`` blocks of a (P, 2T) gene array; any
+    other length raises ``ValueError``."""
+    p_ch, p_dc = x.reshape(x.shape[0], 2, t).transpose(1, 0, 2)
+    return p_ch, p_dc
 
 
-def _repair_population(
-    p_mt: np.ndarray,
-    r_mt: np.ndarray,
-    p_ch: np.ndarray,
-    p_dc: np.ndarray,
-    p_res: np.ndarray,
-    on: np.ndarray,
-    inputs: UpperInputs,
-):
+def _repair_population(p_ch: np.ndarray, p_dc: np.ndarray, on: np.ndarray, inputs: UpperInputs):
     """Vectorized schedule construction for a population of candidates.
 
-    Takes and returns (P, U, T) unit arrays and (P, T) storage and system
-    arrays, candidates on axis 0; ``soc`` is (P, T + 1).  Also returns the
-    per-candidate penalty magnitudes: the power deficit and the reserve
-    shortfall.
+    Takes the (P, T) storage requests and the (P, U, T) commitments,
+    candidates on axis 0.  Returns (P, U, T) unit arrays and (P, T) storage
+    and system arrays; ``soc`` is (P, T + 1).  Also returns the per-candidate
+    penalty magnitudes: the power deficit and the reserve shortfall.
 
-    The unit arrays are worked on unit-major: repair copies the genes once
-    into C-contiguous (U, P, T) buffers, so that each unit's block is one
-    contiguous (P, T) array, and returns the (P, U, T) transposes of those
-    buffers (``on`` is copied only if its transpose is not already such a
-    buffer).  A sum over units adds the blocks in unit order,
-    ``(a0 + a1) + a2``, as ``sum`` over the unit axis of a (P, U, T) array
-    does.  Every array summed over periods here or in the fitness is
+    Every committed unit starts at ``p_min`` with no reserve, and the storage
+    with no reserve.  The deficit lift then raises outputs in fuel order and
+    the reserve lift takes reserve in reserve-cost order.
+
+    The unit arrays are worked on unit-major, in C-contiguous (U, P, T)
+    buffers whose per-unit blocks are contiguous (P, T) arrays, and returned
+    as their (P, U, T) transposes (``on`` is copied only if its transpose is
+    not already such a buffer).  A sum over units adds the blocks in unit
+    order, ``(a0 + a1) + a2``, as ``sum`` over the unit axis of a (P, U, T)
+    array does.  Every array summed over periods here or in the fitness is
     candidate-major and C-contiguous, because the pairwise order of such a
     sum follows the memory layout.
 
     Boxes are written as ``np.minimum(np.maximum(...))``, which costs a
     fraction of ``np.clip`` on arrays this small.  Both ufuncs return their
     second operand on a tie, which only shows between zeros of opposite sign.
-    Boxes with scalar bounds take ``x`` second, as ``np.clip`` returns ``x``
-    there; the others take the bound second, as ``np.clip`` does with
-    full-size array bounds.  Genes never hold -0.0 (the search's own box
-    returns its +0.0 bound), so no such tie reaches the array-bounded boxes.
+    The storage boxes have scalar bounds and take ``x`` second, as
+    ``np.clip`` returns ``x`` there.  Genes never hold -0.0 (the search's own
+    box returns its +0.0 bound).
     """
     s = inputs.scalars
-    pop, n_units, t = p_mt.shape
+    pop, t = p_ch.shape
 
     on = np.ascontiguousarray(on.transpose(1, 0, 2))
     on_max = on * inputs.p_max
-    p_mt = np.maximum(p_mt.transpose(1, 0, 2), inputs.p_min, out=np.empty_like(on))
-    np.minimum(p_mt, inputs.p_max, out=p_mt)
-    np.multiply(on, p_mt, out=p_mt)
-    room = on_max - p_mt  # the reserve's cap, and where the deficit lift starts
-    r_mt = np.maximum(r_mt.transpose(1, 0, 2), _ZERO, out=np.empty_like(on))
-    np.minimum(r_mt, room, out=r_mt)
+    p_mt = on * inputs.p_min
+    r_mt = np.zeros_like(on)
 
     # Storage: mutual exclusion, power limits, then an energy trajectory that
     # stays inside the capacity band and can always return to the boundary
@@ -310,63 +290,58 @@ def _repair_population(
     p_ch = np.where(keep_ch, np.minimum(s.p_ch_max, np.maximum(_ZERO, p_ch)), _ZERO)
     p_dc = np.where(keep_ch, _ZERO, np.minimum(s.p_dc_max, np.maximum(_ZERO, p_dc)))
 
-    # Each period's end energy is boxed into [lo_reach, min(soc + gain_max,
-    # hi_reach)].  The step's own floor, soc - p_dc_max / eta_dc, needs no
-    # operation: after the power box and the mutual exclusion,
-    # delta >= -p_dc_max / eta_dc, and rounded addition is monotone, so
-    # soc + delta never lies below it.  The recursion runs time-major, so
-    # that every step reads and writes contiguous rows in place.
+    # Each period's end energy is boxed into the reach band [lo, hi].  The
+    # step's own box needs no operation.  Its floor, soc - p_dc_max / eta_dc:
+    # after the power box and the mutual exclusion, delta >= -p_dc_max /
+    # eta_dc, and rounded addition is monotone, so soc + delta never lies
+    # below it.  Its ceiling, soc + eta_ch * p_ch_max: soc is at least the
+    # previous period's lo, which lies at most one full-charge gain below lo.
+    # The recursion runs time-major, so that every step reads and writes
+    # contiguous rows in place.
     delta = np.empty((t, pop))
     np.subtract(s.eta_ch * p_ch, p_dc / s.eta_dc, out=delta.T)
     soc_t = np.empty((t + 1, pop))
     soc_t[0] = s.soc_start
     rows = list(soc_t)
-    step_hi = np.empty(pop)
-    gain_max = s.gain_max
     for cur, nxt, step, (lo, hi) in zip(rows, rows[1:], delta, inputs.reach):
         np.add(cur, step, out=nxt)
         np.maximum(nxt, lo, out=nxt)
-        np.add(cur, gain_max, out=step_hi)
-        np.minimum(step_hi, hi, out=step_hi)
-        np.minimum(nxt, step_hi, out=nxt)
+        np.minimum(nxt, hi, out=nxt)
     soc = np.ascontiguousarray(soc_t.T)
 
     moves = soc[:, 1:] - soc[:, :-1]
     p_ch = np.maximum(moves, _ZERO) / s.eta_ch
-    p_dc = -np.minimum(moves, _ZERO) * s.eta_dc
+    p_dc = np.maximum(-moves, _ZERO) * s.eta_dc
 
-    # Storage reserve: bounded by the energy above the floor and the unused
+    # Storage reserve cap: the energy above the floor and the unused
     # discharge rating.
     res_cap = np.minimum(s.eta_dc * (soc[:, :-1] - s.soc_min), s.p_dc_max - p_dc)
     np.maximum(res_cap, _ZERO, out=res_cap)
-    p_res = np.minimum(np.maximum(p_res, _ZERO), res_cap)
+    p_res = np.zeros((pop, t))
 
-    # Deficit lift: close any supply shortfall from committed units' free
-    # headroom, cheapest marginal fuel first.  Remaining deficit is penalized
-    # (it means the commitment pattern itself is short).
+    # Deficit lift: close any supply shortfall from committed units' headroom
+    # above p_min, cheapest marginal fuel first.  Remaining deficit is
+    # penalized (it means the commitment pattern itself is short).
     renewable, demand = inputs.renewable_expectation, inputs.demand
     supply = _sum_units(p_mt) + p_dc - p_ch + renewable
     deficit = np.maximum(demand - supply, _ZERO)
     # A lift changes only its own unit's block, so every unit's headroom can
-    # be taken before the loop.
-    headroom = np.subtract(room, r_mt, out=room)
-    np.maximum(headroom, _ZERO, out=headroom)
+    # be taken before the loop; on * (p_max - p_min) is never negative.
+    headroom = on_max - p_mt
     add = np.empty_like(deficit)
     for n in inputs.fuel_order:
         np.minimum(deficit, headroom[n], out=add)
         np.add(p_mt[n], add, out=p_mt[n])
         np.subtract(deficit, add, out=deficit)
 
-    # Reserve lift: cover any requirement shortfall with the cheapest
-    # remaining headroom so the chance constraint binds instead of penalizing.
-    need = inputs.reserve_requirement - p_res - _sum_units(r_mt)
-    np.maximum(need, _ZERO, out=need)
+    # Reserve lift: cover the requirement with the cheapest remaining
+    # headroom so the chance constraint binds instead of penalizing.
+    need = np.tile(inputs.reserve_requirement, (pop, 1))
     np.subtract(on_max, p_mt, out=headroom)
-    np.subtract(headroom, r_mt, out=headroom)
     np.maximum(headroom, _ZERO, out=headroom)
     for source in inputs.reserve_order:
         if source == "ess":
-            np.minimum(need, res_cap - p_res, out=add)
+            np.minimum(need, res_cap, out=add)
             np.add(p_res, add, out=p_res)
         else:
             np.minimum(need, headroom[source], out=add)
@@ -404,7 +379,7 @@ def _population_fitness(x: np.ndarray, b: np.ndarray, inputs: UpperInputs) -> np
     # Unit-major commitments, handed to repair as the (P, U, T) transpose
     on = b.reshape(pop, n_units, t).transpose(1, 0, 2).copy()
     p_mt, r_mt, p_ch, p_dc, p_res, p_un, soc, startup, deficit, short = _repair_population(
-        *_split_genes(x, n_units, t), on.transpose(1, 0, 2), inputs
+        *_split_genes(x, t), on.transpose(1, 0, 2), inputs
     )
 
     cost = s.minus_revenue + (
@@ -435,7 +410,7 @@ def repair_and_close_balance(
     x = np.asarray(genes_continuous, dtype=float)[None, :]
     on = np.asarray(genes_binary, dtype=float).reshape(1, n_units, t)
     p_mt, r_mt, p_ch, p_dc, p_res, p_un, soc, startup, _, _ = _repair_population(
-        *_split_genes(x, n_units, t), on, inputs
+        *_split_genes(x, t), on, inputs
     )
     return UpperSchedule(
         on=on[0], startup=startup[0], p_mt=p_mt[0], r_mt=r_mt[0],
@@ -489,10 +464,7 @@ def constraint_residuals(sched: UpperSchedule, inputs: UpperInputs) -> dict[str,
 
 def encode_schedule(sched: UpperSchedule) -> tuple[np.ndarray, np.ndarray]:
     """Schedule back to gene vectors (for warm-starting a related solve)."""
-    x = np.concatenate(
-        [sched.p_mt.ravel(), sched.r_mt.ravel(), sched.p_ch, sched.p_dc, sched.p_res]
-    )
-    return x, sched.on.ravel().astype(float)
+    return np.concatenate([sched.p_ch, sched.p_dc]), sched.on.ravel().astype(float)
 
 
 def _checked(sched: UpperSchedule, inputs: UpperInputs, context: str) -> tuple[UpperSchedule, float]:

@@ -102,16 +102,14 @@ def test_net_cost_invariant_under_unit_permutation():
     assert cost_ab == pytest.approx(cost_ba, abs=1e-12)
 
 
-def _genes(inputs, p_mt, r_mt, p_ch, p_dc, p_res, on):
-    x = np.concatenate([np.ravel(p_mt), np.ravel(r_mt), p_ch, p_dc, p_res])
-    return x, np.ravel(np.asarray(on, dtype=float))
+def _genes(p_ch, p_dc, on):
+    return np.concatenate([p_ch, p_dc]), np.ravel(np.asarray(on, dtype=float))
 
 
 def test_repair_keeps_larger_storage_action():
     # conflicting charge/discharge requests in period 0: the larger one stays
     inputs = _inputs((MT3,), ESS, [50.0, 50.0])
-    x, b = _genes(inputs, [[60.0, 60.0]], [[0.0, 0.0]],
-                  np.array([5.0, 0.0]), np.array([3.0, 0.0]), np.zeros(2), [[1.0, 1.0]])
+    x, b = _genes(np.array([5.0, 0.0]), np.array([3.0, 0.0]), [[1.0, 1.0]])
     sched = repair_and_close_balance(x, b, inputs)
     assert sched.p_dc[0] == 0.0
     assert sched.p_ch[0] == pytest.approx(5.0)
@@ -120,9 +118,10 @@ def test_repair_keeps_larger_storage_action():
 
 
 def test_repair_closes_balance_with_slack():
-    # supply 100 vs demand 90 dumps 10 kW into the controlled load
-    inputs = _inputs((MT3, MT1), NO_ESS, [90.0])
-    x, b = _genes(inputs, [[65.0], [35.0]], [[0.0], [0.0]], np.zeros(1), np.zeros(1), np.zeros(1), [[1.0], [1.0]])
+    # the must-run minimums, 10 + 5 kW, against a demand of 5 kW dump 10 kW
+    # into the controlled load
+    inputs = _inputs((MT3, MT1), NO_ESS, [5.0])
+    x, b = _genes(np.zeros(1), np.zeros(1), [[1.0], [1.0]])
     sched = repair_and_close_balance(x, b, inputs)
     assert sched.p_un[0] == pytest.approx(10.0)
     assert constraint_residuals(sched, inputs)["balance"] <= 1e-12
@@ -130,7 +129,7 @@ def test_repair_closes_balance_with_slack():
 
 def test_repair_leaves_deficit_for_penalty():
     inputs = _inputs((MT1,), NO_ESS, [90.0])
-    x, b = _genes(inputs, [[35.0]], [[0.0]], np.zeros(1), np.zeros(1), np.zeros(1), [[1.0]])
+    x, b = _genes(np.zeros(1), np.zeros(1), [[1.0]])
     sched = repair_and_close_balance(x, b, inputs)
     res = constraint_residuals(sched, inputs)
     assert res["balance"] == pytest.approx(55.0)  # 90 - 35
@@ -143,7 +142,7 @@ def test_repair_respects_unit_and_storage_limits():
     rng = np.random.default_rng(3)
     inputs = _inputs((MT1, MT2, MT3), ESS, rng.uniform(20.0, 60.0, 24))
     n, t = 3, 24
-    x = rng.uniform(0.0, 70.0, 2 * n * t + 3 * t)
+    x = rng.uniform(0.0, 70.0, 2 * t)
     b = rng.integers(0, 2, n * t).astype(float)
     sched = repair_and_close_balance(x, b, inputs)
     res = constraint_residuals(sched, inputs)
@@ -156,17 +155,28 @@ def test_repair_respects_unit_and_storage_limits():
 def test_storage_trajectory_returns_to_boundary():
     rng = np.random.default_rng(11)
     inputs = _inputs((MT3,), ESS, rng.uniform(30.0, 55.0, 24))
-    x = rng.uniform(0.0, 65.0, 2 * 24 + 3 * 24)
+    x = rng.uniform(0.0, 65.0, 2 * 24)
     b = np.ones(24)
     sched = repair_and_close_balance(x, b, inputs)
     assert sched.soc[0] == pytest.approx(96.0, abs=1e-9)
     assert sched.soc[-1] == pytest.approx(96.0, abs=1e-9)
     assert np.all(sched.soc >= 32.0 - 1e-9) and np.all(sched.soc <= 160.0 + 1e-9)
+    # the reach band alone keeps every step within the rated charge
+    assert np.all(sched.p_ch <= ESS.p_ch_max)
+
+
+def test_genes_of_another_length_are_rejected():
+    inputs = _inputs((MT1, MT3), ESS, np.full(24, 40.0))
+    b = np.ones(2 * 24)
+    repair_and_close_balance(np.zeros(2 * 24), b, inputs)
+    # the layout with generator outputs and reserves as genes
+    with pytest.raises(ValueError):
+        repair_and_close_balance(np.zeros(2 * 2 * 24 + 3 * 24), b, inputs)
 
 
 def test_penalized_fitness_feasible_equals_cost():
     inputs = _inputs((MT3,), NO_ESS, [50.0, 50.0])
-    x, b = _genes(inputs, [[50.0, 50.0]], [[0.0, 0.0]], np.zeros(2), np.zeros(2), np.zeros(2), [[1.0, 1.0]])
+    x, b = _genes(np.zeros(2), np.zeros(2), [[1.0, 1.0]])
     sched = repair_and_close_balance(x, b, inputs)
     cost = net_operating_cost(sched, inputs.ev_load, inputs.prices, inputs.units, inputs.ess)
     assert _population_fitness(x[None, :], b[None, :], inputs)[0] == pytest.approx(cost)
@@ -234,7 +244,7 @@ def test_solve_upper_reports_infeasibility():
 
 def test_warm_start_schedule_reports_infeasibility():
     inputs = _inputs((MT1,), NO_ESS, [200.0])  # beyond total capacity
-    start = repair_and_close_balance(np.full(5, 35.0), np.ones(1), inputs)
+    start = repair_and_close_balance(np.zeros(2), np.ones(1), inputs)
     with pytest.raises(InfeasibleScheduleError, match="warm start") as err:
         warm_start_schedule(inputs, start)
     assert err.value.residuals["balance"] > 0.0
@@ -243,7 +253,7 @@ def test_warm_start_schedule_reports_infeasibility():
 def test_warm_start_round_trip_is_stable():
     rng = np.random.default_rng(4)
     inputs = _inputs((MT1, MT2, MT3), ESS, rng.uniform(30.0, 55.0, 24))
-    x = rng.uniform(0.0, 65.0, 2 * 3 * 24 + 3 * 24)
+    x = rng.uniform(0.0, 65.0, 2 * 24)
     b = rng.integers(0, 2, 3 * 24).astype(float)
     sched = repair_and_close_balance(x, b, inputs)
     x2, b2 = encode_schedule(sched)
@@ -267,19 +277,21 @@ def test_schedule_csv_layout(tmp_path):
 # The pricing loop feeds every schedule into the next search, so a last-bit
 # change in repair or fitness moves a day's cost by several percent.  The two
 # functions below are the straightforward formulation (np.clip, np.diff, a
-# full step box in the storage recursion, constants rebuilt per call); the
-# production code must agree with them bit for bit.
+# full step box in the storage recursion, lifts from every unit at its
+# minimum and no reserve, constants rebuilt per call); the production code
+# must agree with them bit for bit.
 
 
-def _reference_repair(p_mt, r_mt, p_ch, p_dc, p_res, on, inputs):
+def _reference_repair(p_ch, p_dc, on, inputs):
     units, ess = inputs.units, inputs.ess
-    pop, n_units, t = p_mt.shape
+    pop, n_units, t = on.shape
 
     p_min = np.array([u.p_min for u in units])[None, :, None]
     p_max = np.array([u.p_max for u in units])[None, :, None]
 
-    p_mt = on * np.clip(p_mt, p_min, p_max)
-    r_mt = np.clip(r_mt, 0.0, on * p_max - p_mt)
+    p_mt = on * p_min
+    r_mt = np.zeros((pop, n_units, t))
+    p_res = np.zeros((pop, t))
 
     keep_ch = p_ch >= p_dc
     p_ch = np.where(keep_ch, np.clip(p_ch, 0.0, ess.p_ch_max), 0.0)
@@ -301,11 +313,10 @@ def _reference_repair(p_mt, r_mt, p_ch, p_dc, p_res, on, inputs):
 
     moves = np.diff(soc, axis=1)
     p_ch = np.maximum(moves, 0.0) / ess.eta_ch
-    p_dc = -np.minimum(moves, 0.0) * ess.eta_dc
+    p_dc = np.maximum(-moves, 0.0) * ess.eta_dc
 
     res_cap = np.minimum(ess.eta_dc * (soc[:, :-1] - ess.soc_min), ess.p_dc_max - p_dc)
     res_cap = np.maximum(res_cap, 0.0)
-    p_res = np.clip(p_res, 0.0, res_cap)
 
     supply = p_mt.sum(axis=1) + p_dc - p_ch + inputs.renewable_expectation[None, :]
     demand = inputs.base_load[None, :] + inputs.ev_load[None, :]
@@ -347,7 +358,7 @@ def _reference_fitness(x, b, inputs):
     n_units, t = len(units), inputs.n_periods
     on = b.reshape(pop, n_units, t)
     p_mt, r_mt, p_ch, p_dc, p_res, p_un, soc, startup, deficit, short = _reference_repair(
-        *_split_genes(x, n_units, t), on, inputs
+        *_split_genes(x, t), on, inputs
     )
     revenue = float(np.dot(inputs.ev_load, inputs.prices))
     cost = -revenue + (
@@ -389,9 +400,7 @@ def _oracle_population(rng, inputs, pop, style):
     at_bound = rng.random(x.shape)
     x = np.where(at_bound < 0.15, lo, np.where(at_bound > 0.85, hi, x))
     b = rng.integers(0, 2, size=(pop, n_binary)).astype(float)
-    ut = n_binary
-    p_ch = x[:, 2 * ut : 2 * ut + t]
-    p_dc = x[:, 2 * ut + t : 2 * ut + 2 * t]
+    p_ch, p_dc = x[:, :t], x[:, t:]
     tie = rng.random((pop, t)) < 0.2
     p_dc[tie] = p_ch[tie]
     if style == "off":
@@ -399,11 +408,11 @@ def _oracle_population(rng, inputs, pop, style):
     elif style == "on":
         b[:] = 1.0
     elif style == "charge":  # full charge all day: onto soc_max and the reach band
-        p_ch[:] = hi[2 * ut : 2 * ut + t]
+        p_ch[:] = hi[:t]
         p_dc[:] = 0.0
     elif style == "discharge":  # full discharge all day: onto soc_min
         p_ch[:] = 0.0
-        p_dc[:] = hi[2 * ut + t : 2 * ut + 2 * t]
+        p_dc[:] = hi[t:]
     return x, b
 
 
@@ -424,8 +433,8 @@ def _assert_matches_reference(xv, bv, x, b, inputs, case):
     of the same genes ``x``, ``b`` bit for bit; returns the reference repair."""
     pop = x.shape[0]
     n_units, t = len(inputs.units), inputs.n_periods
-    got = _repair_population(*_split_genes(xv, n_units, t), bv.reshape(pop, n_units, t), inputs)
-    want = _reference_repair(*_split_genes(x, n_units, t), b.reshape(pop, n_units, t), inputs)
+    got = _repair_population(*_split_genes(xv, t), bv.reshape(pop, n_units, t), inputs)
+    want = _reference_repair(*_split_genes(x, t), b.reshape(pop, n_units, t), inputs)
     for name, g, w in zip(("p_mt", "r_mt", "p_ch", "p_dc", "p_res", "p_un", "soc",
                            "startup", "deficit", "reserve_short"), got, want):
         assert _same_bits(g, w), (case, name)

@@ -3,6 +3,7 @@
 import copy
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -357,6 +358,24 @@ def test_cli_run_writes_outputs(quick_scenario, tmp_path, capsys):
     assert cli.main(["run", "--scenario", str(quick_scenario), "--out-dir", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == sorted(OUTPUT_FILES)
     assert "selected iteration" in capsys.readouterr().out
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for item in value for x in _numbers(item)]
+    return [value] if isinstance(value, float) else []
+
+
+def test_cli_run_writes_no_negative_zero(tmp_path):
+    # an idle storage period once wrote its discharge as -0.0
+    out = tmp_path / "out"
+    assert cli.main(["run", "--seed", "1", "--iters", "1", "--out-dir", str(out)]) == 0
+    with open(out / "schedule.csv", newline="") as fh:
+        assert "-0.0" not in [cell for row in csv.reader(fh) for cell in row]
+    summary = json.loads((out / "summary.json").read_text())
+    assert [x for x in _numbers(summary) if x == 0.0 and math.copysign(1.0, x) < 0.0] == []
 
 
 def test_cli_strategies_table(quick_scenario, tmp_path, capsys):
