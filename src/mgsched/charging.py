@@ -52,6 +52,12 @@ class StationParams:
     investment: float  # $ up-front for the charging station
     lifetime_years: float
 
+    def __post_init__(self):
+        if not self.investment >= 0.0:
+            raise ValueError("investment must be non-negative")
+        if not self.lifetime_years > 0.0:
+            raise ValueError("lifetime_years must be positive")
+
     @property
     def daily_cost(self) -> float:
         return self.investment / (365.0 * self.lifetime_years)

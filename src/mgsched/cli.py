@@ -107,7 +107,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args, rt)
-    except (InfeasibleScheduleError, IpmError) as exc:
+    except (InfeasibleScheduleError, IpmError, StructuralInfeasibilityError) as exc:
         # a solver that ends without a checked result: one line, not a traceback
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return 1

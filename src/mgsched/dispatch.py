@@ -75,10 +75,11 @@ class MtUnit:
     p_max: float  # kW
 
     def __post_init__(self):
-        if not 0.0 <= self.p_min <= self.p_max:
-            raise ValueError(f"unit {self.name}: 0 <= p_min <= p_max violated")
-        if min(self.startup_cost, self.fixed_fuel, self.fuel_slope, self.reserve_cost) < 0.0:
-            raise ValueError(f"unit {self.name}: costs must be non-negative")
+        for key in ("startup_cost", "fixed_fuel", "fuel_slope", "reserve_cost", "p_min"):
+            if not getattr(self, key) >= 0.0:
+                raise ValueError(f"{key} must be non-negative")
+        if not self.p_min <= self.p_max:
+            raise ValueError("p_min must not exceed p_max")
 
 
 @dataclass(frozen=True)
@@ -95,12 +96,14 @@ class EssParams:
     soc_start: float  # kWh, also the required end state
 
     def __post_init__(self):
-        if not 0.0 <= self.soc_min <= self.soc_start <= self.soc_max:
-            raise ValueError("storage energy bounds must satisfy min <= start <= max")
-        if not (0.0 < self.eta_ch <= 1.0 and 0.0 < self.eta_dc <= 1.0):
-            raise ValueError("storage efficiencies must lie in (0, 1]")
-        if self.p_ch_max < 0.0 or self.p_dc_max < 0.0:
-            raise ValueError("storage power limits must be non-negative")
+        for key in ("soc_min", "p_ch_max", "p_dc_max"):
+            if not getattr(self, key) >= 0.0:
+                raise ValueError(f"{key} must be non-negative")
+        if not self.soc_min <= self.soc_start <= self.soc_max:
+            raise ValueError("soc_start must lie in [soc_min, soc_max]")
+        for key in ("eta_ch", "eta_dc"):
+            if not 0.0 < getattr(self, key) <= 1.0:
+                raise ValueError(f"{key} must lie in (0, 1]")
 
 
 @dataclass

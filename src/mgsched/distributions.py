@@ -248,6 +248,11 @@ class FleetParams:
     soc_initial_mean: float = 0.5
     soc_initial_std: float = 0.1
 
+    def __post_init__(self):
+        for key in ("arrival_sigma", "mileage_log_sigma", "soc_initial_std"):
+            if not getattr(self, key) > 0.0:
+                raise ValueError(f"{key} must be positive")
+
 
 def sample_fleet(fleet: FleetParams, count: int, seed: int) -> list:
     """Draw ``count`` EV sessions (arrival, mileage, initial SOC, charge target).

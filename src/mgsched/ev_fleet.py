@@ -26,12 +26,15 @@ class EvParams:
     soc_expected: float
 
     def __post_init__(self):
-        if not 0.0 <= self.soc_min < self.soc_expected <= self.soc_max <= 1.0:
-            raise ValueError("SOC fractions must satisfy 0 <= min < expected <= max <= 1")
-        if self.battery_capacity <= 0.0 or self.rated_power <= 0.0:
-            raise ValueError("battery capacity and rated power must be positive")
+        for key in ("battery_capacity", "rated_power"):
+            if not getattr(self, key) > 0.0:
+                raise ValueError(f"{key} must be positive")
         if not 0.0 < self.charge_efficiency <= 1.0:
-            raise ValueError("charge efficiency must lie in (0, 1]")
+            raise ValueError("charge_efficiency must lie in (0, 1]")
+        if not 0.0 <= self.soc_min < self.soc_expected:
+            raise ValueError("soc_min must lie in [0, soc_expected)")
+        if not self.soc_expected <= self.soc_max <= 1.0:
+            raise ValueError("soc_max must lie in [soc_expected, 1]")
 
 
 @dataclass(frozen=True)

@@ -27,15 +27,17 @@ class JayaConfig:
     restart_cooldown: int = 100
 
     def __post_init__(self):
-        if self.pop_size < 2:
-            raise ValueError("population size must be at least 2")
-        if self.max_iter < 1:
+        if not self.pop_size >= 2:
+            raise ValueError("pop_size must be at least 2")
+        if not self.max_iter >= 1:
             raise ValueError("max_iter must be at least 1")
+        if not self.seed >= 0:
+            raise ValueError("seed must be non-negative")
         if not 0.0 < self.thr1 < self.thr2:
-            raise ValueError("thresholds must satisfy 0 < thr1 < thr2")
+            raise ValueError("thr1 must lie in (0, thr2)")
         if not 0.0 < self.restart_fraction < 1.0:
             raise ValueError("restart_fraction must lie in (0, 1)")
-        if self.restart_cooldown < 0:
+        if not self.restart_cooldown >= 0:
             raise ValueError("restart_cooldown must be non-negative")
 
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,13 +39,12 @@ def baseline_scenario_path() -> Path:
 
 
 def load_scenario(path) -> dict:
+    """The parsed scenario document; :func:`prepare` validates it."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"not valid JSON: {exc}") from exc
-    validate_scenario(doc)
-    return doc
 
 
 def _need(doc: dict, key: str, context: str):
@@ -105,24 +105,30 @@ def _hourly(values, context: str) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
-def _check_ranges(doc: dict) -> None:
-    """The ranges that :class:`MtUnit` and :class:`EssParams` require, named by
-    scenario field.  Written as ``not (...)`` so that NaN is rejected too."""
-    for i, u in enumerate(doc["mt_units"]):
-        for key in ("startup_cost", "fixed_fuel", "fuel_slope", "reserve_cost", "p_min"):
-            if not u[key] >= 0.0:
-                raise ScenarioError(f"mt_units[{i}].{key} must be non-negative")
-        if not u["p_min"] <= u["p_max"]:
-            raise ScenarioError(f"mt_units[{i}].p_min must not exceed p_max")
-    ess = doc["ess"]
-    for key in ("soc_min", "p_ch_max", "p_dc_max"):
-        if not ess[key] >= 0.0:
-            raise ScenarioError(f"ess.{key} must be non-negative")
-    if not ess["soc_min"] <= ess["soc_start"] <= ess["soc_max"]:
-        raise ScenarioError("ess.soc_start must lie in [soc_min, soc_max]")
-    for key in ("eta_ch", "eta_dc"):
-        if not 0.0 < ess[key] <= 1.0:
-            raise ScenarioError(f"ess.{key} must lie in (0, 1]")
+def _record(cls, block: dict, context: str, optional=(), **given):
+    """``cls`` built from the scenario block ``block``, whose keys are the
+    record's dataclass fields other than those in ``given``.
+
+    A ``str`` field is taken as written, an ``int`` field must be a whole
+    number and any other field a number.  A field named in ``optional`` keeps
+    its dataclass default when the block leaves it out.  The record's own
+    range rules report the field first, so their ``ValueError`` becomes a
+    :class:`ScenarioError` under ``context``.
+    """
+    values = dict(given)
+    for f in fields(cls):
+        if f.name in given or (f.name in optional and f.name not in block):
+            continue
+        if f.type == "str":
+            values[f.name] = str(_need(block, f.name, context))
+        elif f.type == "int":
+            values[f.name] = int(_whole(block, f.name, context))
+        else:
+            values[f.name] = float(_number(block, f.name, context))
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ScenarioError(f"{context}.{exc}") from exc
 
 
 def _check_renewables(doc: dict) -> None:
@@ -145,7 +151,22 @@ def _check_renewables(doc: dict) -> None:
         raise ScenarioError("wt.v_in, wt.v_rated and wt.v_out must satisfy 0 <= v_in < v_rated < v_out")
 
 
-def validate_scenario(doc: dict) -> None:
+class Records(NamedTuple):
+    """The records of a scenario document, as :func:`validate_scenario`
+    reads them."""
+
+    units: tuple[MtUnit, ...]
+    ess: EssParams
+    ev: EvParams
+    fleet: dist.FleetParams | None  # None when the fleet is a session table
+    station: StationParams
+    jaya: JayaConfig  # seed 0 when the document leaves it to the run seed
+
+
+def validate_scenario(doc: dict) -> Records:
+    """Read ``doc`` once into its records; a field that is missing, of the
+    wrong kind or out of range fails with a :class:`ScenarioError` that names
+    it."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
     for section in ("mt_units", "ess", "load", "pv", "wt", "fleet", "pricing", "station", "algorithm"):
@@ -154,16 +175,8 @@ def validate_scenario(doc: dict) -> None:
     units = doc["mt_units"]
     if not isinstance(units, list) or not units:
         raise ScenarioError("mt_units must be a non-empty list")
-    for i, u in enumerate(units):
-        _need(u, "name", f"mt_units[{i}]")
-        for key in ("startup_cost", "fixed_fuel", "fuel_slope", "reserve_cost", "p_min", "p_max"):
-            _number(u, key, f"mt_units[{i}]")
-
-    ess = doc["ess"]
-    for key in ("soc_min", "soc_max", "p_ch_max", "p_dc_max", "eta_ch", "eta_dc",
-                "charge_price", "discharge_price", "reserve_price", "soc_start"):
-        _number(ess, key, "ess")
-    _check_ranges(doc)
+    units = tuple(_record(MtUnit, u, f"mt_units[{i}]") for i, u in enumerate(units))
+    ess = _record(EssParams, doc["ess"], "ess")
 
     _hourly(_need(doc["load"], "mean", "load"), "load.mean")
 
@@ -178,15 +191,13 @@ def validate_scenario(doc: dict) -> None:
         _number(doc["wt"], key, "wt")
 
     fleet = doc["fleet"]
-    has_table = "sessions_csv" in fleet
-    keys = ["battery_capacity", "rated_power", "charge_efficiency", "e_per_100km",
-            "soc_min", "soc_max", "soc_expected", "max_dwell"]
-    if not has_table:
-        keys += ["arrival_mu", "arrival_sigma", "mileage_log_mu", "mileage_log_sigma",
-                 "soc_initial_mean", "soc_initial_std"]
-        _whole(fleet, "count", "fleet")
-    for key in keys:
-        _number(fleet, key, "fleet")
+    ev = _record(EvParams, fleet, "fleet")
+    _positive(fleet, "max_dwell", "fleet")
+    sampled = None
+    if "sessions_csv" not in fleet:
+        if _whole(fleet, "count", "fleet") < 1:
+            raise ScenarioError("fleet.count must be at least 1")
+        sampled = _record(dist.FleetParams, fleet, "fleet", ev=ev)
 
     pricing = doc["pricing"]
     _need(pricing, "tou", "pricing")
@@ -195,8 +206,7 @@ def validate_scenario(doc: dict) -> None:
     for key in ("omega_ref", "p_ref", "price_floor"):
         _positive(pricing, key, "pricing")
 
-    for key in ("investment", "lifetime_years"):
-        _number(doc["station"], key, "station")
+    station = _record(StationParams, doc["station"], "station")
 
     algo = doc["algorithm"]
     for key in ("jaya", "ipm"):
@@ -211,20 +221,16 @@ def validate_scenario(doc: dict) -> None:
         raise ScenarioError("algorithm.alpha_cap must lie in (0, 1]")
     if _whole(algo, "pricing_iterations", "algorithm") < 1:
         raise ScenarioError("algorithm.pricing_iterations must be at least 1")
-    jaya = algo["jaya"]
-    for key in ("pop_size", "max_iter"):
-        _whole(jaya, key, "algorithm.jaya")
-    for key in ("seed", "restart_cooldown"):
-        if key in jaya:
-            _whole(jaya, key, "algorithm.jaya")
-    for key in ("thr1", "thr2", "restart_fraction"):
-        if key in jaya:
-            _number(jaya, key, "algorithm.jaya")
+    jaya = _record(JayaConfig, algo["jaya"], "algorithm.jaya",
+                   optional=("seed", "thr1", "thr2", "restart_fraction", "restart_cooldown"))
     _positive(algo["ipm"], "tol", "algorithm.ipm")
-    _whole(algo["ipm"], "max_iter", "algorithm.ipm")
-    _whole(doc, "seed", "scenario")
+    if _whole(algo["ipm"], "max_iter", "algorithm.ipm") < 1:
+        raise ScenarioError("algorithm.ipm.max_iter must be at least 1")
+    if _whole(doc, "seed", "scenario") < 0:
+        raise ScenarioError("scenario.seed must be non-negative")
     _check_renewables(doc)
     _check_finite(doc, "")
+    return Records(units, ess, ev, sampled, station, jaya)
 
 
 # Hour blocks of the grid time-of-use tariff (end-exclusive ranges).
@@ -288,29 +294,10 @@ def _discretized(spec: dist.PdfSpec, p_rated: float, q: float, source: str) -> P
 def prepare(doc: dict, seed: int | None = None, iterations: int | None = None,
             scenario_dir: Path | None = None) -> ScenarioRuntime:
     """Build the runtime bundle; ``seed``/``iterations`` override the document."""
-    validate_scenario(doc)
+    records = validate_scenario(doc)
     run_seed = int(doc["seed"] if seed is None else seed)
-
-    units = tuple(
-        MtUnit(
-            name=str(u["name"]),
-            startup_cost=float(u["startup_cost"]),
-            fixed_fuel=float(u["fixed_fuel"]),
-            fuel_slope=float(u["fuel_slope"]),
-            reserve_cost=float(u["reserve_cost"]),
-            p_min=float(u["p_min"]),
-            p_max=float(u["p_max"]),
-        )
-        for u in doc["mt_units"]
-    )
-    e = doc["ess"]
-    ess = EssParams(
-        soc_min=float(e["soc_min"]), soc_max=float(e["soc_max"]),
-        p_ch_max=float(e["p_ch_max"]), p_dc_max=float(e["p_dc_max"]),
-        eta_ch=float(e["eta_ch"]), eta_dc=float(e["eta_dc"]),
-        charge_price=float(e["charge_price"]), discharge_price=float(e["discharge_price"]),
-        reserve_price=float(e["reserve_price"]), soc_start=float(e["soc_start"]),
-    )
+    if run_seed < 0:
+        raise ScenarioError("seed must be non-negative")
 
     base_load = _hourly(doc["load"]["mean"], "load.mean")
     q = float(doc["algorithm"]["step_q"])
@@ -329,58 +316,31 @@ def prepare(doc: dict, seed: int | None = None, iterations: int | None = None,
         sequences.append(convolve(seq_pv, seq_wt))
 
     f = doc["fleet"]
-    ev_params = EvParams(
-        battery_capacity=float(f["battery_capacity"]),
-        rated_power=float(f["rated_power"]),
-        charge_efficiency=float(f["charge_efficiency"]),
-        e_per_100km=float(f["e_per_100km"]),
-        soc_min=float(f["soc_min"]),
-        soc_max=float(f["soc_max"]),
-        soc_expected=float(f["soc_expected"]),
-    )
-    if "sessions_csv" in f:
+    if records.fleet is None:
         csv_path = Path(f["sessions_csv"])
         if not csv_path.is_absolute() and scenario_dir is not None:
             csv_path = scenario_dir / csv_path
         sessions = read_sessions_csv(csv_path)
     else:
-        fleet_params = dist.FleetParams(
-            ev=ev_params,
-            arrival_mu=float(f["arrival_mu"]),
-            arrival_sigma=float(f["arrival_sigma"]),
-            mileage_log_mu=float(f["mileage_log_mu"]),
-            mileage_log_sigma=float(f["mileage_log_sigma"]),
-            soc_initial_mean=float(f["soc_initial_mean"]),
-            soc_initial_std=float(f["soc_initial_std"]),
-        )
-        sessions = dist.sample_fleet(fleet_params, int(f["count"]), run_seed)
-    sessions = build_windows(sessions, ev_params, max_dwell=float(f["max_dwell"]))
+        sessions = dist.sample_fleet(records.fleet, int(f["count"]), run_seed)
+    sessions = build_windows(sessions, records.ev, max_dwell=float(f["max_dwell"]))
 
     pr = doc["pricing"]
     algo = doc["algorithm"]
-    jcfg = algo["jaya"]
-    jaya = JayaConfig(
-        pop_size=int(jcfg["pop_size"]),
-        max_iter=int(jcfg["max_iter"]),
-        seed=int(jcfg.get("seed", run_seed)),
-        thr1=float(jcfg.get("thr1", 0.99)),
-        thr2=float(jcfg.get("thr2", 1.01)),
-        restart_fraction=float(jcfg.get("restart_fraction", 0.2)),
-        restart_cooldown=int(jcfg.get("restart_cooldown", 100)),
-    )
+    jaya = records.jaya if "seed" in algo["jaya"] else replace(records.jaya, seed=run_seed)
     n_iters = int(algo["pricing_iterations"] if iterations is None else iterations)
     if n_iters < 1:
         raise ScenarioError("pricing iterations must be at least 1")
 
     return ScenarioRuntime(
-        units=units,
-        ess=ess,
+        units=records.units,
+        ess=records.ess,
         base_load=base_load,
         renewables=tuple(renewables),
         sequences=tuple(sequences),
         sessions=sessions,
-        ev_params=ev_params,
-        station=StationParams(float(doc["station"]["investment"]), float(doc["station"]["lifetime_years"])),
+        ev_params=records.ev,
+        station=records.station,
         tou=tou_prices(float(pr["tou"]["peak"]), float(pr["tou"]["flat"]), float(pr["tou"]["offpeak"])),
         omega_ref=float(pr["omega_ref"]),
         p_ref=float(pr["p_ref"]),

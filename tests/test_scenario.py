@@ -1,24 +1,29 @@
 """Scenario schema validation and the command-line interface."""
 
+import contextlib
 import copy
 import csv
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgsched import cli
 from mgsched import coordinator as co
 from mgsched import scenario as sc
-from mgsched.charging import IpmError
-from mgsched.dispatch import InfeasibleScheduleError
+from mgsched.charging import IpmError, StructuralInfeasibilityError
+from mgsched.dispatch import RESIDUAL_TOL, InfeasibleScheduleError
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +140,12 @@ def test_non_number_rejected_by_name(baseline_doc, field, value):
         ("wt.v_in", 13.0, "wt.v_in, wt.v_rated and wt.v_out must satisfy 0 <= v_in < v_rated < v_out"),
         ("wt.v_in", -1.0, "wt.v_in, wt.v_rated and wt.v_out must satisfy 0 <= v_in < v_rated < v_out"),
         ("wt.v_out", 12.0, "wt.v_in, wt.v_rated and wt.v_out must satisfy 0 <= v_in < v_rated < v_out"),
+        ("station.investment", -1.0, "station.investment must be non-negative"),
+        ("fleet.soc_min", 0.95, "fleet.soc_min must lie in [0, soc_expected)"),
+        ("fleet.charge_efficiency", 0.0, "fleet.charge_efficiency must lie in (0, 1]"),
+        ("algorithm.jaya.pop_size", 1, "algorithm.jaya.pop_size must be at least 2"),
+        ("algorithm.jaya.seed", -300, "algorithm.jaya.seed must be non-negative"),
+        ("algorithm.jaya.restart_fraction", 1.0, "algorithm.jaya.restart_fraction must lie in (0, 1)"),
     ],
 )
 def test_out_of_range_unit_or_storage_rejected_by_name(baseline_doc, field, value, message):
@@ -163,11 +174,30 @@ def test_out_of_range_unit_or_storage_rejected_by_name(baseline_doc, field, valu
         ("algorithm.ipm.max_iter", 100.5, "algorithm.ipm.max_iter must be a whole number"),
         ("fleet.count", float("nan"), "fleet.count must be a whole number"),
         ("seed", 1.5, "scenario.seed must be a whole number"),
+        ("seed", -1, "scenario.seed must be non-negative"),
+        ("station.lifetime_years", 0.0, "station.lifetime_years must be positive"),
+        ("fleet.rated_power", 0.0, "fleet.rated_power must be positive"),
+        ("fleet.arrival_sigma", -1.0, "fleet.arrival_sigma must be positive"),
+        ("fleet.soc_initial_std", 0.0, "fleet.soc_initial_std must be positive"),
+        ("fleet.count", 0, "fleet.count must be at least 1"),
+        ("fleet.max_dwell", 0, "fleet.max_dwell must be positive"),
+        ("algorithm.ipm.max_iter", 0, "algorithm.ipm.max_iter must be at least 1"),
     ],
 )
 def test_non_finite_fractional_or_nonpositive_rejected_by_name(baseline_doc, field, value, message):
     doc = _with_field(baseline_doc, field, value)
     with pytest.raises(sc.ScenarioError, match=rf"^{re.escape(message)}$"):
+        sc.validate_scenario(doc)
+
+
+@pytest.mark.parametrize("section, key", [("algorithm.jaya", "pop_size"), ("fleet", "soc_initial_std")])
+def test_key_with_a_record_default_is_still_required(baseline_doc, section, key):
+    doc = copy.deepcopy(baseline_doc)
+    block = doc
+    for name in section.split("."):
+        block = block[name]
+    del block[key]
+    with pytest.raises(sc.ScenarioError, match=rf"^missing '{key}' in {re.escape(section)}$"):
         sc.validate_scenario(doc)
 
 
@@ -182,6 +212,11 @@ def test_whole_numbers_written_as_floats_are_accepted(baseline_doc):
 def test_prepare_rejects_no_pricing_iterations(baseline_doc):
     with pytest.raises(sc.ScenarioError, match="pricing iterations must be at least 1"):
         sc.prepare(baseline_doc, iterations=0)
+
+
+def test_prepare_rejects_negative_seed(baseline_doc):
+    with pytest.raises(sc.ScenarioError, match=r"^seed must be non-negative$"):
+        sc.prepare(baseline_doc, seed=-1)
 
 
 def test_cli_reports_non_number_on_one_line(baseline_doc, tmp_path, capsys):
@@ -341,8 +376,12 @@ def test_discretization_that_succeeds_shows_its_warnings(monkeypatch):
 @pytest.mark.parametrize("command", ["run"])
 @pytest.mark.parametrize(
     "error",
-    [InfeasibleScheduleError("exact dispatch: HiGHS status 2", {}), IpmError("no convergence within 100 iterations")],
-    ids=["infeasible_schedule", "ipm"],
+    [
+        InfeasibleScheduleError("exact dispatch: HiGHS status 2", {}),
+        IpmError("no convergence within 100 iterations"),
+        StructuralInfeasibilityError([3], "required energy exceeds window capacity for EVs [3]"),
+    ],
+    ids=["infeasible_schedule", "ipm", "structural"],
 )
 def test_cli_reports_solver_failure_on_one_line(quick_scenario, tmp_path, capsys, monkeypatch, command, error):
     def fail(rt):
@@ -351,6 +390,53 @@ def test_cli_reports_solver_failure_on_one_line(quick_scenario, tmp_path, capsys
     monkeypatch.setattr(co, "compute_baselines", fail)
     assert cli.main([command, "--scenario", str(quick_scenario), "--out-dir", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"{command} failed: {error}\n"
+
+
+# Fields that size memory or run time: the property test never scales them up.
+SIZES = ("fleet.count", "algorithm.jaya.pop_size", "algorithm.jaya.max_iter", "algorithm.ipm.max_iter",
+         "algorithm.pricing_iterations")
+
+
+def _numbers_by_field(value, name=""):
+    """(dotted field, value) of every number under ``value``."""
+    if isinstance(value, dict):
+        return [pair for key, item in value.items() for pair in _numbers_by_field(item, f"{name}.{key}" if name else key)]
+    if isinstance(value, list):
+        return [pair for i, item in enumerate(value) for pair in _numbers_by_field(item, f"{name}[{i}]")]
+    return [(name, value)] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
+def _names(message, field):
+    """``message`` names ``field``: in full, or as the key of a rule of its
+    block (``mt_units[0].p_min must not exceed p_max`` names ``p_max``)."""
+    block, _, key = field.rpartition(".")
+    return field in message or (message.startswith(f"{block}.") and re.search(rf"\b{key}\b", message))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_one_changed_number_runs_checked_or_fails_by_field(quick_scenario, data):
+    doc = json.loads(quick_scenario.read_text())
+    blocks = {key: doc[key] for key in ("mt_units", "ess", "fleet", "station", "algorithm")}
+    field, value = data.draw(st.sampled_from(_numbers_by_field(blocks)), label="field")
+    scales = (0.5,) if field in SIZES else (0.5, 2.0)
+    new = data.draw(st.sampled_from([0, -1] + [f * value for f in scales]) | st.floats(0.05, 0.95), label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "changed.json"
+        path.write_text(json.dumps(_with_field(doc, field, new)))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["run", "--iters", "1", "--scenario", str(path), "--out-dir", tmp])
+        if code == 0:
+            summary = json.loads((Path(tmp) / "summary.json").read_text())
+            assert max(summary["max_residuals"].values()) <= RESIDUAL_TOL
+            assert summary["charging_plan_residual"] <= RESIDUAL_TOL
+            return
+    assert code == 1 and "Traceback" not in err.getvalue()
+    last = err.getvalue().splitlines()[-1]
+    assert last.startswith("run failed: ") or (
+        last.startswith("invalid scenario: ") and _names(last.removeprefix("invalid scenario: "), field)
+    ), last
 
 
 def test_cli_run_writes_outputs(quick_scenario, tmp_path, capsys):
