@@ -15,6 +15,8 @@ Mehrotra-style centering parameter on the pure-inequality form
 two box rows, its period's feed-limit row and its EV's two energy rows.  Each
 Newton step factors the augmented KKT system with a sparse LU (SuperLU), so
 the work grows with the nonzeros rather than the cube of the fleet size.
+When ``G x <= h`` has no solution, the dual iterate diverges along a Farkas
+ray that proves it (Todd 2004); a failed solve is tested for one.
 """
 
 from __future__ import annotations
@@ -28,13 +30,18 @@ from scipy.sparse.linalg import splu
 
 from mgsched.ev_fleet import EvParams, EvSession
 
-FEASIBILITY_SLACK = 1e-9
+RAY_TOL = 1e-9  # |G'y| bound of a Farkas ray, relative to 1 + max|h|
+NAMED_SHARE = 1e-3  # an EV is named when its band weight is this share of the largest
 
 
 class StructuralInfeasibilityError(ValueError):
-    """Charging demand provably cannot fit the windows and feed limits."""
+    """``G x <= h`` has no solution, proven by ``certificate``, a Farkas ray
+    y >= 0 of unit sum with |G'y| <= RAY_TOL (1 + max|h|) and h'y < 0.  For
+    the charging LP, ``ev_ids`` names the EVs whose energy-band rows carry
+    weight in y."""
 
-    def __init__(self, ev_ids: list, message: str):
+    def __init__(self, message: str, certificate: np.ndarray, ev_ids=()):
+        self.certificate = certificate
         self.ev_ids = list(ev_ids)
         super().__init__(message)
 
@@ -72,12 +79,16 @@ class LpProblem:
     h: np.ndarray
     constant: float
     columns: list[tuple[int, int]]  # (session index, period) per variable
-    n_sessions: int
+    ev_ids: list[int]  # per session, in row order
     n_periods: int
 
     @property
     def n_vars(self) -> int:
         return self.c.size
+
+    @property
+    def n_sessions(self) -> int:
+        return len(self.ev_ids)
 
 
 @dataclass
@@ -99,9 +110,10 @@ def build_lp(
 ) -> LpProblem:
     """Assemble the charging LP for one pricing iteration.
 
-    ``caps`` is the per-period aggregate feed limit in kW.  Sessions that
-    provably cannot receive their required energy (window too small against
-    rated power and caps) are reported before any solve.
+    ``caps`` is the per-period aggregate feed limit in kW.  Every session
+    keeps its two energy-band rows, even one without a window, so a demand
+    that cannot be served leaves the LP infeasible and :func:`ipm_solve`
+    names it from the Farkas certificate.
     """
     prices = np.asarray(prices, dtype=float)
     caps = np.asarray(caps, dtype=float)
@@ -111,17 +123,9 @@ def build_lp(
     if np.any(caps < 0.0):
         raise ValueError("feed limits must be non-negative")
 
-    _check_structure(sessions, ev, caps)
-
     columns = [(i, t) for i, s in enumerate(sessions) for t in s.window]
     n = len(columns)
     eta = ev.charge_efficiency
-
-    if n == 0:
-        return LpProblem(
-            c=np.zeros(0), G=sparse.csc_array((0, 0)), h=np.zeros(0),
-            constant=station.daily_cost, columns=[], n_sessions=len(sessions), n_periods=n_periods,
-        )
 
     col_ev, col_t = _column_index(columns)
     c = prices[col_t]
@@ -148,47 +152,13 @@ def build_lp(
     h = np.concatenate([np.full(n, ev.rated_power), np.zeros(n), caps[used_periods], energy_rhs])
     return LpProblem(
         c=c, G=G, h=h, constant=station.daily_cost,
-        columns=columns, n_sessions=len(sessions), n_periods=n_periods,
+        columns=columns, ev_ids=[s.ev_id for s in sessions], n_periods=n_periods,
     )
 
 
 def _column_index(columns: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
     """(session index, period) arrays of the LP columns."""
     return tuple(np.array(columns, dtype=np.intp).reshape(-1, 2).T)
-
-
-def _check_structure(sessions: list[EvSession], ev: EvParams, caps: np.ndarray) -> None:
-    eta = ev.charge_efficiency
-    starved = []
-    for s in sessions:
-        if not s.window:
-            starved.append(s.ev_id)
-            continue
-        deliverable = sum(min(ev.rated_power, caps[t]) for t in s.window) * eta
-        if s.required_energy > deliverable + FEASIBILITY_SLACK:
-            starved.append(s.ev_id)
-    if starved:
-        raise StructuralInfeasibilityError(
-            starved, f"required energy exceeds window capacity for EVs {starved}"
-        )
-
-    # Interval load check: every period range must carry the demand of the
-    # sessions confined to it (necessary condition; ignores per-EV rate caps).
-    windows = [(s.window[0], s.window[-1]) for s in sessions if s.window]
-    reqs = [s.required_energy for s in sessions if s.window]
-    bounds = sorted({w for pair in windows for w in pair})
-    for a in bounds:
-        for b in bounds:
-            if a > b:
-                continue
-            demand = sum(r for (lo, hi), r in zip(windows, reqs) if lo >= a and hi <= b)
-            supply = float(np.sum(caps[a : b + 1])) * eta
-            if demand > supply + FEASIBILITY_SLACK:
-                inside = [s.ev_id for s in sessions if s.window and s.window[0] >= a and s.window[-1] <= b]
-                raise StructuralInfeasibilityError(
-                    inside,
-                    f"periods {a}..{b} must deliver {demand:.3f} kWh but feed limits allow {supply:.3f} kWh",
-                )
 
 
 def solve_inequality_lp(
@@ -202,14 +172,18 @@ def solve_inequality_lp(
 
     ``G`` may be a dense array or a scipy sparse matrix or array.  Returns the
     primal solution and an info dict with the certified duality gap,
-    residuals and iteration count.  Raises :class:`IpmError` when the
-    iteration budget runs out or the KKT system degenerates.
+    residuals and iteration count.  A failed solve (divergence, a degenerate
+    KKT system, the iteration budget) raises :class:`IpmError`, or
+    :class:`StructuralInfeasibilityError` when its dual iterate is a Farkas ray.
     """
     c = np.asarray(c, dtype=float)
     h = np.asarray(h, dtype=float)
     n = c.size
     m = h.size
     if n == 0:
+        if np.any(h < 0.0):  # every row reads 0 <= h, so those with h < 0 form a ray
+            ray = (h < 0.0) / np.count_nonzero(h < 0.0)
+            raise StructuralInfeasibilityError(f"Farkas ray with h'y = {h @ ray:.3g} (rows without variables)", ray)
         return np.zeros(0), {"gap": 0.0, "iterations": 0, "primal_residual": 0.0, "dual_residual": 0.0, "max_comp": 0.0}
     if m == 0:
         raise ValueError("an LP without inequality rows is unbounded in this form")
@@ -230,6 +204,15 @@ def solve_inequality_lp(
         gap = abs(float(c @ x + h @ z)) / (1.0 + abs(float(c @ x)))
         return r_prim, r_dual, gap
 
+    def failure(message, info):
+        """The error of a failed solve: proven infeasibility when the dual
+        iterate, scaled to unit sum, is a Farkas ray, otherwise an
+        :class:`IpmError`."""
+        y = z / np.sum(z)
+        if np.max(np.abs(G.T @ y)) <= RAY_TOL * h_scale and h @ y < 0.0:
+            return StructuralInfeasibilityError(f"Farkas ray with h'y = {h @ y:.3g} ({message})", y)
+        return IpmError(message, info)
+
     for it in range(1, max_iter + 1):
         r_prim, r_dual, gap = residuals()
         comp = s * z
@@ -238,10 +221,7 @@ def solve_inequality_lp(
             not (np.all(np.isfinite(r_prim)) and np.all(np.isfinite(r_dual)) and np.isfinite(mu))
             or max(float(np.max(s)), float(np.max(z))) > 1e30
         ):
-            raise IpmError(
-                f"iterates diverged at iteration {it}",
-                {"mu": mu, "gap": gap},
-            )
+            raise failure(f"iterates diverged at iteration {it}", {"mu": mu, "gap": gap})
         if (
             np.max(np.abs(r_prim)) <= tol * h_scale
             and np.max(np.abs(r_dual)) <= tol * c_scale
@@ -284,9 +264,7 @@ def solve_inequality_lp(
                 dx_a, ds_a, dz_a = candidate
                 break
         if dx_a is None:
-            raise IpmError(
-                f"KKT factorization degenerated at iteration {it}", {"mu": mu, "gap": gap}
-            )
+            raise failure(f"KKT factorization degenerated at iteration {it}", {"mu": mu, "gap": gap})
 
         # Predictor (affine) step.
         alpha_p = _max_step(s, ds_a)
@@ -318,7 +296,7 @@ def solve_inequality_lp(
         z = z + alpha_d * dz
 
     r_prim, r_dual, gap = residuals()
-    raise IpmError(
+    raise failure(
         f"no convergence within {max_iter} iterations "
         f"(primal {np.max(np.abs(r_prim)):.2e}, dual {np.max(np.abs(r_dual)):.2e}, gap {gap:.2e})",
         {
@@ -337,12 +315,20 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
 
 
 def ipm_solve(lp: LpProblem, tol: float = 1e-8, max_iter: int = 100) -> ChargingPlan:
-    """Solve the charging LP and assemble the plan matrix."""
-    x, info = solve_inequality_lp(lp.c, lp.G, lp.h, tol=tol, max_iter=max_iter)
+    """Solve the charging LP and assemble the plan matrix.  An infeasible LP
+    raises :class:`StructuralInfeasibilityError` naming the EVs whose
+    energy-band rows carry weight in its certificate."""
+    try:
+        x, info = solve_inequality_lp(lp.c, lp.G, lp.h, tol=tol, max_iter=max_iter)
+    except StructuralInfeasibilityError as exc:
+        band = exc.certificate[lp.h.size - 2 * lp.n_sessions :].reshape(-1, 2).sum(axis=1)
+        named = [ev_id for ev_id, w in zip(lp.ev_ids, band) if w >= NAMED_SHARE * band.max()]
+        message = f"EVs {named} cannot be charged within their windows, rated power and feed limits: {exc}"
+        raise StructuralInfeasibilityError(message, exc.certificate, named) from None
     p_ev = np.zeros((lp.n_sessions, lp.n_periods))
     p_ev[_column_index(lp.columns)] = np.where(x > 0.0, x, 0.0)
     ev_load = p_ev.sum(axis=0)
-    variable_cost = float(x @ lp.c) if lp.n_vars else 0.0
+    variable_cost = float(x @ lp.c)
     return ChargingPlan(
         p_ev=p_ev,
         ev_load=ev_load,
@@ -361,8 +347,6 @@ def charging_cost(plan: ChargingPlan, prices: np.ndarray, station: StationParams
 
 def plan_residuals(plan: ChargingPlan, lp: LpProblem) -> float:
     """Largest constraint violation of the plan against its LP (kW / kWh)."""
-    if lp.n_vars == 0:
-        return 0.0
     x = plan.p_ev[_column_index(lp.columns)]
     return float(np.max(np.maximum(lp.G @ x - lp.h, 0.0), initial=0.0))
 

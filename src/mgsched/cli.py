@@ -5,7 +5,8 @@ Subcommands:
             CSVs, summary.json, the stand-alone vs joint cost table
             (strategies.csv) and the price-response comparison (cases.csv)
             into --out-dir
-  validate  scenario schema and feasibility pre-checks (exit code 0/1)
+  validate  scenario schema, and the fleet's grid-tariff charging LP solved
+            under the loose feed limits (exit code 0/1)
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from mgsched import coordinator as co
 from mgsched import scenario as sc
-from mgsched.charging import IpmError, StructuralInfeasibilityError, build_lp, write_plan_csv
+from mgsched.charging import IpmError, StructuralInfeasibilityError, build_lp, ipm_solve, write_plan_csv
 from mgsched.dispatch import InfeasibleScheduleError, write_schedule_csv
 from mgsched.ev_fleet import write_sessions_csv
 
@@ -83,8 +84,9 @@ def cmd_run(args, rt: sc.ScenarioRuntime) -> int:
 
 
 def cmd_validate(args, rt: sc.ScenarioRuntime) -> int:
+    lp = build_lp(rt.sessions, rt.ev_params, rt.tou, co.loose_caps(rt), rt.station)
     try:
-        build_lp(rt.sessions, rt.ev_params, rt.tou, co.loose_caps(rt), rt.station)
+        ipm_solve(lp, tol=rt.ipm_tol, max_iter=rt.ipm_max_iter)
     except StructuralInfeasibilityError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1

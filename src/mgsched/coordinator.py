@@ -137,16 +137,20 @@ def select_joint_optimum(records: list[IterationRecord], mg_cost_ideal: float, e
 
 
 def loose_caps(rt: ScenarioRuntime) -> np.ndarray:
-    """Feed limit before any dispatch is known: all units assumed committed."""
-    capacity = sum(u.p_max for u in rt.units) + rt.ess.p_dc_max
-    return np.maximum(rt.alpha_cap * (capacity - rt.base_load), 0.0)
+    """Feed limit before any dispatch is known: that of every unit committed."""
+    return _feed_limit(rt, np.ones((len(rt.units), 1)))
 
 
 def caps_from_schedule(rt: ScenarioRuntime, sched: UpperSchedule) -> np.ndarray:
-    """Feed limit implied by a dispatch: committed generator capacity plus the
-    storage discharge rating, net of the base load."""
+    """Feed limit implied by a dispatch's commitment."""
+    return _feed_limit(rt, sched.on)
+
+
+def _feed_limit(rt: ScenarioRuntime, on: np.ndarray) -> np.ndarray:
+    """Committed generator capacity plus the storage discharge rating, net of
+    the base load, per period; ``on`` is the (unit, period) commitment."""
     p_max = np.array([u.p_max for u in rt.units])
-    committed = (sched.on * p_max[:, None]).sum(axis=0)
+    committed = (on * p_max[:, None]).sum(axis=0)
     headroom = committed + rt.ess.p_dc_max - rt.base_load
     return np.maximum(rt.alpha_cap * headroom, 0.0)
 
@@ -175,9 +179,9 @@ def _solve_lower(rt: ScenarioRuntime, prices: np.ndarray, caps: np.ndarray) -> t
         lp = build_lp(rt.sessions, rt.ev_params, prices, caps, rt.station)
         return ipm_solve(lp, tol=rt.ipm_tol, max_iter=rt.ipm_max_iter), caps
     except (StructuralInfeasibilityError, IpmError):
-        # A thin commitment pattern can leave the fleet's minimum demand
-        # unservable or push the program against a degenerate face; relax to
-        # the physical-capacity limit for this round.
+        # A thin commitment can leave the fleet's demand unservable (proven by
+        # a Farkas certificate) or push the program against a degenerate face;
+        # relax to the all-committed limit for this round.
         caps = loose_caps(rt)
         lp = build_lp(rt.sessions, rt.ev_params, prices, caps, rt.station)
         return ipm_solve(lp, tol=rt.ipm_tol, max_iter=rt.ipm_max_iter), caps

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, fields, replace
 from importlib import resources
@@ -48,6 +49,8 @@ def load_scenario(path) -> dict:
 
 
 def _need(doc: dict, key: str, context: str):
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{context} must be a JSON object")
     if key not in doc:
         raise ScenarioError(f"missing '{key}' in {context}")
     return doc[key]
@@ -65,6 +68,13 @@ def _number(doc: dict, key: str, context: str):
     value = _need(doc, key, context)
     if not _is_number(value):
         raise ScenarioError(f"{context}.{key} must be a number")
+    return _fits_float(value, f"{context}.{key}")
+
+
+def _fits_float(value, name: str):
+    """``value``, unless it is a JSON integer that ``float()`` overflows on."""
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ScenarioError(f"{name} must be finite")
     return value
 
 
@@ -102,6 +112,7 @@ def _hourly(values, context: str) -> np.ndarray:
     for h, value in enumerate(values):
         if not _is_number(value):
             raise ScenarioError(f"{context}[{h}] must be a number")
+        _fits_float(value, f"{context}[{h}]")
     return np.array(values, dtype=float)
 
 
@@ -167,8 +178,6 @@ def validate_scenario(doc: dict) -> Records:
     """Read ``doc`` once into its records; a field that is missing, of the
     wrong kind or out of range fails with a :class:`ScenarioError` that names
     it."""
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario must be a JSON object")
     for section in ("mt_units", "ess", "load", "pv", "wt", "fleet", "pricing", "station", "algorithm"):
         _need(doc, section, "scenario")
 

@@ -38,7 +38,7 @@ AMORTIZED = 3000.0 / 3650.0
 
 def _session(ev_id, window, required, soc0=0.5053):
     return EvSession(
-        ev_id=ev_id, arrival_hour=float(window[0]), mileage=30.0,
+        ev_id=ev_id, arrival_hour=float(window[0] if window else 23), mileage=30.0,
         soc_initial=soc0, soc_target=soc0 + required / 19.0,
         required_energy=required, window=tuple(window),
     )
@@ -158,17 +158,71 @@ def test_price_response_is_monotone():
         previous = plan.p_ev[0, 1]
 
 
+def assert_farkas_ray(y, lp):
+    """``y`` proves ``lp`` infeasible, and HiGHS agrees."""
+    assert np.all(y >= 0.0)
+    assert np.max(np.abs(lp.G.T @ y)) <= 1e-9 * (1.0 + np.max(np.abs(lp.h)))
+    assert lp.h @ y < 0.0
+    highs = linprog(lp.c, A_ub=lp.G, b_ub=lp.h, bounds=(None, None), method="highs")
+    assert highs.status == 2
+
+
 def test_structural_infeasibility_names_vehicles():
     starved = _session(3, (22, 23), required=15.0, soc0=0.2)
+    lp = build_lp([starved], PARAMS, np.full(24, 0.6), np.full(24, 50.0), STATION)
     with pytest.raises(StructuralInfeasibilityError) as err:
-        build_lp([starved], PARAMS, np.full(24, 0.6), np.full(24, 50.0), STATION)
+        ipm_solve(lp)
     assert 3 in err.value.ev_ids
+    assert_farkas_ray(err.value.certificate, lp)
 
 
-def test_shared_cap_infeasibility_detected():
+@pytest.mark.parametrize("with_feasible", [False, True], ids=["starved_only", "next_to_feasible"])
+def test_shared_cap_infeasibility_detected(with_feasible):
     sessions = [_session(i, (10, 11), required=7.0) for i in range(4)]
-    with pytest.raises(StructuralInfeasibilityError):
-        build_lp(sessions, PARAMS, np.full(24, 0.6), np.full(24, 7.5), STATION)
+    if with_feasible:
+        sessions.append(_session(9, (15, 16, 17), required=6.0))
+    lp = build_lp(sessions, PARAMS, np.full(24, 0.6), np.full(24, 7.5), STATION)
+    with pytest.raises(StructuralInfeasibilityError) as err:
+        ipm_solve(lp)
+    assert err.value.ev_ids == [0, 1, 2, 3]
+    assert_farkas_ray(err.value.certificate, lp)
+
+
+def test_windowless_vehicle_with_demand_is_certified():
+    # an EV without a window keeps its energy rows, so its demand cannot vanish
+    stranded = _session(7, (), required=3.0)
+    alone = build_lp([stranded], PARAMS, np.full(3, 0.6), np.full(3, 50.0), STATION)
+    assert alone.n_vars == 0
+    with pytest.raises(StructuralInfeasibilityError) as err:
+        ipm_solve(alone)
+    assert err.value.ev_ids == [7]
+    assert err.value.certificate @ alone.h < 0.0
+
+    fleet = [_session(0, (1, 2), required=7.5), stranded]
+    beside = build_lp(fleet, PARAMS, np.full(3, 0.6), np.full(3, 50.0), STATION)
+    with pytest.raises(StructuralInfeasibilityError) as err:
+        ipm_solve(beside)
+    assert err.value.ev_ids == [7]
+    assert_farkas_ray(err.value.certificate, beside)
+
+
+def test_windowless_vehicle_without_demand_is_feasible():
+    idle = _session(5, (), required=0.0)
+    plan = ipm_solve(build_lp([idle], PARAMS, np.full(3, 0.6), np.full(3, 50.0), STATION))
+    assert plan.total_cost == pytest.approx(AMORTIZED)
+    assert plan.p_ev.shape == (1, 3)
+
+
+def test_infeasible_dense_lp_carries_a_farkas_ray():
+    # x <= 1 and x >= 2 cannot both hold
+    G = np.array([[1.0], [-1.0]])
+    h = np.array([1.0, -2.0])
+    with pytest.raises(StructuralInfeasibilityError) as err:
+        solve_inequality_lp(np.array([1.0]), G, h)
+    y = err.value.certificate
+    assert np.all(y >= 0.0) and y.sum() == pytest.approx(1.0)
+    assert abs(G.T @ y)[0] <= 1e-9 * 3.0
+    assert h @ y < 0.0
 
 
 def test_iteration_budget_error_carries_residuals():

@@ -7,10 +7,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from mgsched import coordinator as co
 from mgsched import scenario as sc
-from mgsched.charging import StructuralInfeasibilityError, build_lp, charging_cost
+from mgsched.charging import StructuralInfeasibilityError, build_lp, charging_cost, ipm_solve
 from mgsched.dispatch import (
     MILP_REL_GAP,
     RESIDUAL_TOL,
@@ -289,7 +290,7 @@ def test_fallback_records_the_caps_it_solved_against(tmp_path, small_rt, small_b
     # structurally infeasible, so it falls back to the loose limits
     no_caps = np.zeros(small_rt.tou.size)
     with pytest.raises(StructuralInfeasibilityError):
-        build_lp(small_rt.sessions, small_rt.ev_params, small_rt.tou, no_caps, small_rt.station)
+        ipm_solve(build_lp(small_rt.sessions, small_rt.ev_params, small_rt.tou, no_caps, small_rt.station))
     monkeypatch.setattr(co, "caps_from_schedule", lambda rt, sched: no_caps)
     records = co.run_bilevel(small_rt, small_base)
     assert np.array_equal(records[1].caps, co.loose_caps(small_rt))
@@ -299,3 +300,24 @@ def test_fallback_records_the_caps_it_solved_against(tmp_path, small_rt, small_b
     co.write_summary_json(tmp_path / "summary.json", small_rt, outcome)
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["charging_plan_residual"] <= 1e-6
+
+
+def test_schedule_limits_of_baseline_seed_6_are_certified_infeasible():
+    # the exact ideal schedule of this input commits too little in hours
+    # 22-23 for the fleet, and every later schedule too; each such LP carries
+    # a Farkas ray that HiGHS confirms, and the loop falls back to the loose limits
+    rt = sc.prepare(sc.load_scenario(sc.baseline_scenario_path()), seed=6, iterations=3)
+    records = co.run_joint(rt).records
+    for previous, record in zip(records, records[1:]):
+        caps = co.caps_from_schedule(rt, previous.schedule)
+        lp = build_lp(rt.sessions, rt.ev_params, previous.prices.prices, caps, rt.station)
+        with pytest.raises(StructuralInfeasibilityError) as err:
+            ipm_solve(lp, tol=rt.ipm_tol, max_iter=rt.ipm_max_iter)
+        y = err.value.certificate
+        assert np.all(y >= 0.0)
+        assert np.max(np.abs(lp.G.T @ y)) <= 1e-9 * (1.0 + np.max(np.abs(lp.h)))
+        assert lp.h @ y < 0.0
+        assert err.value.ev_ids
+        highs = linprog(lp.c, A_ub=lp.G, b_ub=lp.h, bounds=(None, None), method="highs")
+        assert highs.status == 2
+        assert np.array_equal(record.caps, co.loose_caps(rt))

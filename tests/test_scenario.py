@@ -182,6 +182,9 @@ def test_out_of_range_unit_or_storage_rejected_by_name(baseline_doc, field, valu
         ("fleet.count", 0, "fleet.count must be at least 1"),
         ("fleet.max_dwell", 0, "fleet.max_dwell must be positive"),
         ("algorithm.ipm.max_iter", 0, "algorithm.ipm.max_iter must be at least 1"),
+        pytest.param("mt_units[0].p_max", 10**400, "mt_units[0].p_max must be finite", id="p_max-int_beyond_float"),
+        pytest.param("load.mean[3]", -(10**400), "load.mean[3] must be finite", id="load-int_beyond_float"),
+        pytest.param("fleet.count", 10**400, "fleet.count must be finite", id="count-int_beyond_float"),
     ],
 )
 def test_non_finite_fractional_or_nonpositive_rejected_by_name(baseline_doc, field, value, message):
@@ -219,13 +222,21 @@ def test_prepare_rejects_negative_seed(baseline_doc):
         sc.prepare(baseline_doc, seed=-1)
 
 
-def test_cli_reports_non_number_on_one_line(baseline_doc, tmp_path, capsys):
-    doc = copy.deepcopy(baseline_doc)
-    doc["pricing"]["p_ref"] = "80"
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("pricing.p_ref", "80", "pricing.p_ref must be a number"),
+        ("station", 5, "station must be a JSON object"),
+        ("ess", [1, 2], "ess must be a JSON object"),
+        ("mt_units[0].p_max", 10**400, "mt_units[0].p_max must be finite"),
+    ],
+    ids=["string", "scalar_block", "list_block", "int_beyond_float"],
+)
+def test_cli_reports_non_number_on_one_line(baseline_doc, tmp_path, capsys, field, value, message):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(json.dumps(_with_field(baseline_doc, field, value)))
     assert cli.main(["validate", "--scenario", str(bad)]) == 1
-    assert capsys.readouterr().err == "invalid scenario: pricing.p_ref must be a number\n"
+    assert capsys.readouterr().err == f"invalid scenario: {message}\n"
 
 
 def test_cli_reports_out_of_range_unit_by_field(baseline_doc, tmp_path, capsys):
@@ -295,6 +306,18 @@ def quick_scenario(tmp_path_factory):
 def test_cli_validate_ok(quick_scenario, capsys):
     assert cli.main(["validate", "--scenario", str(quick_scenario)]) == 0
     assert "scenario OK" in capsys.readouterr().out
+
+
+def test_cli_validate_reports_an_unservable_fleet_on_one_line(quick_scenario, tmp_path, capsys):
+    # feed limits at 1 % of the headroom cannot charge the fleet in its windows
+    doc = _with_field(sc.load_scenario(quick_scenario), "algorithm.alpha_cap", 0.01)
+    bad = tmp_path / "starved.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--scenario", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("infeasible: EVs [") and "Farkas ray" in err
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_cli_validate_rejects_garbage(tmp_path, capsys):
@@ -379,7 +402,7 @@ def test_discretization_that_succeeds_shows_its_warnings(monkeypatch):
     [
         InfeasibleScheduleError("exact dispatch: HiGHS status 2", {}),
         IpmError("no convergence within 100 iterations"),
-        StructuralInfeasibilityError([3], "required energy exceeds window capacity for EVs [3]"),
+        StructuralInfeasibilityError("EVs [3] cannot be charged within their windows", np.ones(2), [3]),
     ],
     ids=["infeasible_schedule", "ipm", "structural"],
 )
