@@ -176,16 +176,21 @@ def test_structural_infeasibility_names_vehicles():
     assert_farkas_ray(err.value.certificate, lp)
 
 
-@pytest.mark.parametrize("with_feasible", [False, True], ids=["starved_only", "next_to_feasible"])
-def test_shared_cap_infeasibility_detected(with_feasible):
-    sessions = [_session(i, (10, 11), required=7.0) for i in range(4)]
-    if with_feasible:
-        sessions.append(_session(9, (15, 16, 17), required=6.0))
+def _assert_shared_cap_certified(sessions):
     lp = build_lp(sessions, PARAMS, np.full(24, 0.6), np.full(24, 7.5), STATION)
     with pytest.raises(StructuralInfeasibilityError) as err:
         ipm_solve(lp)
     assert err.value.ev_ids == [0, 1, 2, 3]
     assert_farkas_ray(err.value.certificate, lp)
+
+
+def test_shared_cap_infeasibility_detected():
+    _assert_shared_cap_certified([_session(i, (10, 11), required=7.0) for i in range(4)])
+
+
+def test_shared_cap_certificate_skips_feasible_vehicle():
+    sessions = [_session(i, (10, 11), required=7.0) for i in range(4)]
+    _assert_shared_cap_certified(sessions + [_session(9, (15, 16, 17), required=6.0)])
 
 
 def test_windowless_vehicle_with_demand_is_certified():

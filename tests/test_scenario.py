@@ -222,21 +222,30 @@ def test_prepare_rejects_negative_seed(baseline_doc):
         sc.prepare(baseline_doc, seed=-1)
 
 
+def _assert_cli_rejects_on_one_line(doc, tmp_path, capsys, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--scenario", str(bad)]) == 1
+    assert capsys.readouterr().err == f"invalid scenario: {message}\n"
+
+
+def test_cli_reports_non_number_on_one_line(baseline_doc, tmp_path, capsys):
+    doc = _with_field(baseline_doc, "pricing.p_ref", "80")
+    _assert_cli_rejects_on_one_line(doc, tmp_path, capsys, "pricing.p_ref must be a number")
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("pricing.p_ref", "80", "pricing.p_ref must be a number"),
         ("station", 5, "station must be a JSON object"),
         ("ess", [1, 2], "ess must be a JSON object"),
         ("mt_units[0].p_max", 10**400, "mt_units[0].p_max must be finite"),
     ],
-    ids=["string", "scalar_block", "list_block", "int_beyond_float"],
+    ids=["scalar_block", "list_block", "int_beyond_float"],
 )
-def test_cli_reports_non_number_on_one_line(baseline_doc, tmp_path, capsys, field, value, message):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(_with_field(baseline_doc, field, value)))
-    assert cli.main(["validate", "--scenario", str(bad)]) == 1
-    assert capsys.readouterr().err == f"invalid scenario: {message}\n"
+def test_cli_reports_malformed_field_on_one_line(baseline_doc, tmp_path, capsys, field, value, message):
+    doc = _with_field(baseline_doc, field, value)
+    _assert_cli_rejects_on_one_line(doc, tmp_path, capsys, message)
 
 
 def test_cli_reports_out_of_range_unit_by_field(baseline_doc, tmp_path, capsys):
