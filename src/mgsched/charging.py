@@ -12,11 +12,17 @@ Mehrotra-style centering parameter on the pure-inequality form
     minimize c'x  subject to  G x <= h.
 
 ``G`` is sparse: every column (one EV in one period) has five nonzeros, its
-two box rows, its period's feed-limit row and its EV's two energy rows.  Each
-Newton step factors the augmented KKT system with a sparse LU (SuperLU), so
-the work grows with the nonzeros rather than the cube of the fleet size.
+two box rows, its period's feed-limit row and its EV's two energy rows.  Rows
+with a single nonzero, the box rows here, are eliminated from each Newton
+step into the diagonal of its (1,1) block.  What is left is the augmented
+system of the feed-limit and energy rows, which is quasi-definite once every
+variable has a box row (Vanderbei 1995).  SuperLU factors it in a symmetric
+minimum-degree order and keeps the diagonal pivots that order chooses unless
+one is tiny against its column, which happens only close to the optimum: at
+150 to 2000 EVs the factors hold 1.8 to 5.5 times the system's nonzeros.
 When ``G x <= h`` has no solution, the dual iterate diverges along a Farkas
-ray that proves it (Todd 2004); a failed solve is tested for one.
+ray that proves it (Todd 2004); the solve stops at the first iterate that is
+one, and a failed solve is tested for one.
 """
 
 from __future__ import annotations
@@ -32,6 +38,10 @@ from mgsched.ev_fleet import EvParams, EvSession
 
 RAY_TOL = 1e-9  # |G'y| bound of a Farkas ray, relative to 1 + max|h|
 NAMED_SHARE = 1e-3  # an EV is named when its band weight is this share of the largest
+# SuperLU keeps a diagonal pivot unless it is below this share of its column's
+# largest entry.  Near the optimum both diagonal blocks of the KKT matrix hold
+# entries of 1e-10 and less, and static pivots (0.0) then lose the Newton step.
+PIVOT_THRESH = 1e-3
 
 
 class StructuralInfeasibilityError(ValueError):
@@ -188,7 +198,20 @@ def solve_inequality_lp(
     if m == 0:
         raise ValueError("an LP without inequality rows is unbounded in this form")
     G = sparse.csc_array(G, dtype=float)
-    off_diagonal = sparse.block_array([[None, G.T], [G, None]], format="csc")
+    # Rows with one nonzero leave the Newton system (see ``newton``); the
+    # others keep their dual step in the reduced KKT matrix, whose pattern is
+    # built once and whose diagonal each factorization overwrites.
+    rows = G.tocsr()
+    single = np.diff(rows.indptr) == 1
+    box_rows = np.flatnonzero(single)
+    box_col = rows.indices[rows.indptr[box_rows]]
+    box_val = rows.data[rows.indptr[box_rows]]
+    kept = np.flatnonzero(~single)
+    G_kept = rows[kept]
+    kkt = sparse.block_array(
+        [[sparse.eye_array(n), G_kept.T], [G_kept, sparse.eye_array(kept.size)]], format="csc"
+    )
+    diagonal = np.flatnonzero(kkt.indices == np.repeat(np.arange(n + kept.size), np.diff(kkt.indptr)))
 
     x = np.zeros(n)
     s = np.maximum(h - G @ x, 1.0)
@@ -235,28 +258,45 @@ def solve_inequality_lp(
                 "dual_residual": float(np.max(np.abs(r_dual))),
                 "max_comp": float(comp.max()),
             }
+        # r_dual - c = G'z: stop as soon as the dual iterate is a Farkas ray.
+        if h @ z < 0.0 and np.max(np.abs(r_dual - c)) <= RAY_TOL * h_scale * float(np.sum(z)):
+            error = failure(f"dual iterate is a Farkas ray at iteration {it}", {"mu": mu, "gap": gap})
+            if isinstance(error, StructuralInfeasibilityError):
+                raise error
 
-        # Augmented KKT system in (dx, dz), factored by sparse LU; forming
-        # the normal equations G' diag(z/s) G loses too much precision once
-        # the optimal face is degenerate and z/s spans many orders of
-        # magnitude.  A primal/dual regularization pair is escalated until
-        # the factorization produces finite steps.
+        # Newton step of the augmented KKT system [[reg, G'], [G, -S/Z - reg]]
+        # in (dx, dz); forming the normal equations G' diag(z/s) G loses too
+        # much precision once the optimal face is degenerate and z/s spans
+        # many orders of magnitude.  The dual step of a single-nonzero row i
+        # (entry g in column j) is dz_i = w_i (g dx_j - rhs_i) with
+        # w_i = 1 / (s_i/z_i + reg), so those rows are eliminated exactly and
+        # add g^2 w_i to diagonal entry j.  A primal/dual regularization pair
+        # is escalated until the factorization produces finite steps.
         def newton(r_comp):
-            rhs = np.concatenate([-r_dual, -r_prim + r_comp / z])
-            step = factor.solve(rhs)
+            rhs = -r_prim + r_comp / z
+            reduced = np.concatenate(
+                [-r_dual + np.bincount(box_col, box_val * w_box * rhs[box_rows], minlength=n), rhs[kept]]
+            )
+            step = factor.solve(reduced)
             if np.all(np.isfinite(step)):
-                step += factor.solve(rhs - kkt @ step)
-            dx, dz = step[:n], step[n:]
+                step += factor.solve(reduced - kkt @ step)
+            dx = step[:n]
+            dz = np.empty(m)
+            dz[kept] = step[n:]
+            dz[box_rows] = (box_val * dx[box_col] - rhs[box_rows]) * w_box
             ds = -r_prim - G @ dx if np.all(np.isfinite(dx)) else np.full(m, np.nan)
             return dx, ds, dz
 
         step_limit = 1e10 * (1.0 + float(np.max(s)) + float(np.max(z)))
         dx_a = None
         for reg in (0.0, 1e-10, 1e-7, 1e-4):
-            diagonal = sparse.diags_array(np.concatenate([np.full(n, reg), -s / z - reg]))
-            kkt = (off_diagonal + diagonal).tocsc()
+            w_box = z[box_rows] / (s[box_rows] + reg * z[box_rows])
+            kkt.data[diagonal] = np.concatenate(
+                [reg + np.bincount(box_col, box_val**2 * w_box, minlength=n), -s[kept] / z[kept] - reg]
+            )
             try:
-                factor = splu(kkt)
+                factor = splu(kkt, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=PIVOT_THRESH,
+                              options={"SymmetricMode": True})
                 candidate = newton(comp)
             except (RuntimeError, ValueError):  # splu: "Factor is exactly singular"
                 continue

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.sparse.linalg import splu
 
+from mgsched import charging
 from mgsched import coordinator as co
 from mgsched import scenario as sc
 from mgsched.charging import (
@@ -267,7 +269,7 @@ def test_singular_kkt_climbs_the_regularization_ladder():
     assert info["gap"] <= 1e-8
 
 
-@pytest.mark.parametrize("count", [150, 500])
+@pytest.mark.parametrize("count", [150, 500, 2000])
 def test_production_fleet_matches_highs(count, baseline_scaled):
     rt = sc.prepare(baseline_scaled(count), seed=11)
     lp = build_lp(rt.sessions, rt.ev_params, rt.tou, co.loose_caps(rt), rt.station)
@@ -276,5 +278,60 @@ def test_production_fleet_matches_highs(count, baseline_scaled):
     plan = ipm_solve(lp, tol=rt.ipm_tol, max_iter=rt.ipm_max_iter)
     highs = linprog(lp.c, A_ub=lp.G, b_ub=lp.h, bounds=(None, None), method="highs")
     assert highs.status == 0
+    assert abs(plan.variable_cost - highs.fun) <= 1e-6 * abs(highs.fun)
+    assert plan_residuals(plan, lp) <= 1e-6
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """(KKT nonzeros, L + U nonzeros) of every factorization the IPM makes."""
+    made = []
+
+    def recorded(kkt, **kwargs):
+        factor = splu(kkt, **kwargs)
+        made.append((kkt.nnz, factor.L.nnz + factor.U.nnz))
+        return factor
+
+    monkeypatch.setattr(charging, "splu", recorded)
+    return made
+
+
+@pytest.mark.parametrize("count", [150, 500, 2000])
+def test_kkt_factor_fill_does_not_grow_with_the_fleet(count, baseline_scaled, factorizations):
+    # a partial-pivoting LU in COLAMD order of the unreduced system filled to
+    # 12.7, 29.7 and 108 times its nonzeros at these sizes
+    rt = sc.prepare(baseline_scaled(count), seed=11)
+    lp = build_lp(rt.sessions, rt.ev_params, rt.tou, co.loose_caps(rt), rt.station)
+    ipm_solve(lp, tol=rt.ipm_tol, max_iter=rt.ipm_max_iter)
+    fill = [lu / kkt for kkt, lu in factorizations]
+    assert fill[0] <= 3.0  # the symmetric order, all pivots on the diagonal
+    assert max(fill) <= 8.0  # pivots off the diagonal near the optimum
+
+
+def test_infeasible_lps_are_certified_within_eight_factorizations(factorizations):
+    # the solve stops at the first dual iterate that is a Farkas ray (4-6
+    # factorizations here); waiting for the iterates to diverge takes 9-12
+    shared_cap = [_session(i, (10, 11), required=7.0) for i in range(4)]
+    lps = [build_lp(shared_cap, PARAMS, np.full(24, 0.6), np.full(24, 7.5), STATION)]
+    rt = sc.prepare(sc.load_scenario(sc.baseline_scenario_path()), seed=6, iterations=3)
+    for record in co.run_joint(rt).records[:-1]:
+        caps = co.caps_from_schedule(rt, record.schedule)
+        lps.append(build_lp(rt.sessions, rt.ev_params, record.prices.prices, caps, rt.station))
+    for lp in lps:
+        factorizations.clear()
+        with pytest.raises(StructuralInfeasibilityError):
+            ipm_solve(lp, tol=rt.ipm_tol, max_iter=rt.ipm_max_iter)
+        assert 0 < len(factorizations) <= 8
+
+
+@pytest.mark.parametrize("seed", [56, 187, 223])
+def test_grid_tariff_lp_keeps_its_accuracy_near_the_optimum(seed):
+    # on these baseline inputs the KKT's diagonal holds entries below 1e-10 of
+    # both signs late in the solve; with static pivots the Newton steps there
+    # lost their accuracy and the solve ended in IpmError at the budget
+    rt = sc.prepare(sc.load_scenario(sc.baseline_scenario_path()), seed=seed)
+    lp = build_lp(rt.sessions, rt.ev_params, rt.tou, co.loose_caps(rt), rt.station)
+    plan = ipm_solve(lp, tol=rt.ipm_tol, max_iter=rt.ipm_max_iter)
+    highs = linprog(lp.c, A_ub=lp.G, b_ub=lp.h, bounds=(None, None), method="highs")
     assert abs(plan.variable_cost - highs.fun) <= 1e-6 * abs(highs.fun)
     assert plan_residuals(plan, lp) <= 1e-6
