@@ -27,14 +27,13 @@ one, and a failed solve is tested for one.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from mgsched.ev_fleet import EvParams, EvSession
+from mgsched.ev_fleet import EvParams, EvSession, write_csv
 
 RAY_TOL = 1e-9  # |G'y| bound of a Farkas ray, relative to 1 + max|h|
 NAMED_SHARE = 1e-3  # an EV is named when its band weight is this share of the largest
@@ -393,9 +392,6 @@ def plan_residuals(plan: ChargingPlan, lp: LpProblem) -> float:
 
 def write_plan_csv(path, plan: ChargingPlan, session_ids: list[int]) -> None:
     """EV-by-period charging matrix with a trailing aggregate row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ev_id"] + [f"p{t}" for t in range(plan.p_ev.shape[1])])
-        for ev_id, row in zip(session_ids, plan.p_ev):
-            writer.writerow([ev_id] + [repr(float(v)) for v in row])
-        writer.writerow(["total"] + [repr(float(v)) for v in plan.ev_load])
+    header = ["ev_id"] + [f"p{t}" for t in range(plan.p_ev.shape[1])]
+    rows = [[ev_id, *row] for ev_id, row in zip(session_ids, plan.p_ev)]
+    write_csv(path, header, rows + [["total", *plan.ev_load]])

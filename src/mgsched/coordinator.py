@@ -22,7 +22,6 @@ case report; the stand-alone strategies are read off the baselines:
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, replace
 
@@ -47,6 +46,7 @@ from mgsched.dispatch import (
     solve_upper_exact,
     warm_start_schedule,
 )
+from mgsched.ev_fleet import write_csv
 from mgsched.jaya import JayaConfig
 from mgsched.scenario import ScenarioRuntime
 
@@ -303,56 +303,32 @@ def run_case(rt: ScenarioRuntime, outcome: JointOutcome) -> CaseReport:
 
 def write_records_csv(path, outcome: JointOutcome) -> None:
     base = outcome.baselines
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "mg_cost", "ev_cost", "distance_to_ideal", "selected"])
-        for r in outcome.records:
-            d = float(np.hypot(r.mg_cost - base.mg_cost_ideal, r.ev_cost - base.ev_cost_ideal))
-            writer.writerow([r.index, repr(r.mg_cost), repr(r.ev_cost), repr(d), int(r.index == outcome.selected_index)])
+    rows = ([r.index, r.mg_cost, r.ev_cost, np.hypot(r.mg_cost - base.mg_cost_ideal, r.ev_cost - base.ev_cost_ideal),
+             int(r.index == outcome.selected_index)] for r in outcome.records)
+    write_csv(path, ["iteration", "mg_cost", "ev_cost", "distance_to_ideal", "selected"], rows)
 
 
 def write_prices_csv(path, rt: ScenarioRuntime, outcome: JointOutcome) -> None:
-    first = outcome.records[0].prices.prices
-    chosen = outcome.selected.prices.prices
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["period", "tou", "real_time_initial", "real_time_selected"])
-        for t in range(rt.tou.size):
-            writer.writerow([t, repr(float(rt.tou[t])), repr(float(first[t])), repr(float(chosen[t]))])
+    columns = [rt.tou, outcome.records[0].prices.prices, outcome.selected.prices.prices]
+    write_csv(path, ["period", "tou", "real_time_initial", "real_time_selected"], zip(range(rt.tou.size), *columns))
 
 
 def write_strategies_csv(path, outcome: JointOutcome) -> None:
     base = outcome.baselines
     joint = outcome.selected
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "mg_cost", "ev_cost"])
-        writer.writerow(["mg_only", repr(base.mg_cost_ideal), repr(base.ev_cost_under_mg)])
-        writer.writerow(["joint", repr(joint.mg_cost), repr(joint.ev_cost)])
-        writer.writerow(["ev_only", repr(base.mg_cost_under_ev), repr(base.ev_cost_ideal)])
+    write_csv(path, ["strategy", "mg_cost", "ev_cost"], [
+        ["mg_only", base.mg_cost_ideal, base.ev_cost_under_mg],
+        ["joint", joint.mg_cost, joint.ev_cost],
+        ["ev_only", base.mg_cost_under_ev, base.ev_cost_ideal],
+    ])
 
 
 def write_cases_csv(path, report: CaseReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["period", "base_load", "ev_load_no_dr", "ev_load_dr", "total_no_dr", "total_dr",
-             "price_no_dr", "price_dr", "tou"]
-        )
-        for t in range(report.base_load.size):
-            writer.writerow(
-                [
-                    t,
-                    repr(float(report.base_load[t])),
-                    repr(float(report.ev_load_no_dr[t])),
-                    repr(float(report.ev_load_dr[t])),
-                    repr(float(report.base_load[t] + report.ev_load_no_dr[t])),
-                    repr(float(report.base_load[t] + report.ev_load_dr[t])),
-                    repr(float(report.price_no_dr[t])),
-                    repr(float(report.price_dr[t])),
-                    repr(float(report.tou[t])),
-                ]
-            )
+    header = ["period", "base_load", "ev_load_no_dr", "ev_load_dr", "total_no_dr", "total_dr",
+              "price_no_dr", "price_dr", "tou"]
+    columns = [report.base_load, report.ev_load_no_dr, report.ev_load_dr, report.base_load + report.ev_load_no_dr,
+               report.base_load + report.ev_load_dr, report.price_no_dr, report.price_dr, report.tou]
+    write_csv(path, header, zip(range(report.base_load.size), *columns))
 
 
 def write_summary_json(path, rt: ScenarioRuntime, outcome: JointOutcome) -> None:

@@ -41,7 +41,6 @@ point) and is the oracle that the search is tested against.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -49,6 +48,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+from mgsched.ev_fleet import write_csv
 from mgsched.jaya import JayaConfig, optimize
 from mgsched.sequences import ProbSequence, expectation, min_reserve_for_confidence
 
@@ -611,25 +611,8 @@ def write_schedule_csv(path, sched: UpperSchedule, inputs: UpperInputs) -> None:
     header = SCHEDULE_CSV_PREFIX + [
         f"{col}_{name}" for name in names for col in ("on", "startup", "p_mt", "r_mt")
     ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t in range(sched.n_periods):
-            row = [
-                t,
-                repr(float(inputs.reserve_requirement[t])),
-                repr(float(sched.p_ch[t])),
-                repr(float(sched.p_dc[t])),
-                repr(float(sched.p_res[t])),
-                repr(float(sched.p_un[t])),
-                repr(float(sched.soc[t])),
-                repr(float(sched.soc[t + 1])),
-            ]
-            for n in range(len(names)):
-                row += [
-                    int(sched.on[n, t]),
-                    int(sched.startup[n, t]),
-                    repr(float(sched.p_mt[n, t])),
-                    repr(float(sched.r_mt[n, t])),
-                ]
-            writer.writerow(row)
+    columns = [inputs.reserve_requirement, sched.p_ch, sched.p_dc, sched.p_res, sched.p_un,
+               sched.soc[:-1], sched.soc[1:]]
+    for n in range(len(names)):
+        columns += [sched.on[n].astype(int), sched.startup[n].astype(int), sched.p_mt[n], sched.r_mt[n]]
+    write_csv(path, header, zip(range(sched.n_periods), *columns))

@@ -16,12 +16,9 @@ from enum import Enum
 import numpy as np
 from scipy.special import betaln, ndtr, ndtri, xlog1py, xlogy
 
-from mgsched.ev_fleet import EvParams, EvSession, soc_target
+from mgsched.ev_fleet import HORIZON, EvParams, EvSession, soc_target
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# Hours in the scheduling day; arrival times live on (0, DAY_HOURS].
-DAY_HOURS = 24.0
 
 
 class PdfKind(str, Enum):
@@ -59,10 +56,10 @@ def pdf_arrival(t, mu: float, sigma: float):
         raise ValueError(f"sigma must be positive, got {sigma}")
     if not 12.0 < mu <= 24.0:
         raise ValueError(f"mu must lie in (12, 24], got {mu}")
-    if np.any(t <= 0.0) or np.any(t > DAY_HOURS):
+    if np.any(t <= 0.0) or np.any(t > HORIZON):
         raise ValueError("arrival time must lie in (0, 24]")
     out = np.zeros_like(t)
-    for shift in (-DAY_HOURS, 0.0, DAY_HOURS):
+    for shift in (-HORIZON, 0.0, HORIZON):
         out = out + np.exp(-((t - mu + shift) ** 2) / (2.0 * sigma**2))
     return out / (SQRT_2PI * sigma)
 
@@ -104,7 +101,7 @@ def weibull_wt_pdf(k: float, c: float, v_in: float, v_rated: float, v_out: float
 
 
 def arrival_pdf(mu: float, sigma: float) -> PdfSpec:
-    return PdfSpec(PdfKind.ARRIVAL_TIME, {"mu": mu, "sigma": sigma}, (0.0, DAY_HOURS))
+    return PdfSpec(PdfKind.ARRIVAL_TIME, {"mu": mu, "sigma": sigma}, (0.0, HORIZON))
 
 
 def mileage_pdf(mu_log: float, sigma_log: float) -> PdfSpec:
@@ -214,8 +211,8 @@ def sample(spec: PdfSpec, rng: np.random.Generator, size: int) -> np.ndarray:
         v = p["c"] * rng.weibull(p["k"], size=size)
         return _power_curve(v, p)
     if spec.kind is PdfKind.ARRIVAL_TIME:
-        t = np.mod(rng.normal(p["mu"], p["sigma"], size=size), DAY_HOURS)
-        return np.where(t == 0.0, DAY_HOURS, t)
+        t = np.mod(rng.normal(p["mu"], p["sigma"], size=size), HORIZON)
+        return np.where(t == 0.0, HORIZON, t)
     if spec.kind is PdfKind.MILEAGE:
         return np.exp(rng.normal(p["mu_log"], p["sigma_log"], size=size))
     if spec.kind is PdfKind.INITIAL_SOC:

@@ -3,7 +3,8 @@
 A charging session records one vehicle's arrival, travel demand and state of
 charge, plus the window of whole scheduling periods in which it may charge.
 Windows are contiguous and never cross midnight; sessions whose truncated
-window cannot absorb the full charge target are flagged.
+window cannot absorb the full charge target are flagged.  :func:`write_csv`
+holds the CSV format of every table that a run writes.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import csv
 import math
 from dataclasses import dataclass, replace
 
-HORIZON = 24  # hourly periods per scheduling day
+HORIZON = 24  # hourly periods per scheduling day; arrival hours lie in (0, HORIZON]
 
 
 @dataclass(frozen=True)
@@ -125,17 +126,22 @@ SESSION_CSV_COLUMNS = [
 ]
 
 
-def write_sessions_csv(path, sessions: list[EvSession]) -> None:
+def write_csv(path, header: list[str], rows) -> None:
+    """The table ``header`` + ``rows`` as CSV.  Every float is written as its
+    ``repr``, which reads back to the same double, so a run's tables are
+    byte-identical whenever its values are; every other value (integers
+    included) is written as ``str`` writes it."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(SESSION_CSV_COLUMNS)
-        for s in sessions:
-            start = s.window[0] if s.window else -1
-            end = s.window[-1] + 1 if s.window else -1
-            writer.writerow(
-                [s.ev_id, repr(s.arrival_hour), repr(s.mileage), repr(s.soc_initial),
-                 repr(s.soc_target), start, end, repr(s.required_energy)]
-            )
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def write_sessions_csv(path, sessions: list[EvSession]) -> None:
+    rows = ([s.ev_id, s.arrival_hour, s.mileage, s.soc_initial, s.soc_target,
+             s.window[0] if s.window else -1, s.window[-1] + 1 if s.window else -1, s.required_energy]
+            for s in sessions)
+    write_csv(path, SESSION_CSV_COLUMNS, rows)
 
 
 def read_sessions_csv(path) -> list[EvSession]:

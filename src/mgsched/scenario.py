@@ -3,8 +3,9 @@
 A scenario is one JSON document holding the generator fleet, storage, hourly
 load forecast, hourly renewable distribution parameters, the EV fleet (either
 distribution parameters or an explicit session table), pricing constants and
-algorithm settings.  :func:`prepare` turns a validated scenario into the
-immutable arrays and objects the solvers consume.
+algorithm settings.  :func:`validate_scenario` is the only reader of the
+document: it checks and converts every value in one pass, and :func:`prepare`
+turns what it read into the immutable arrays and objects the solvers consume.
 """
 
 from __future__ import annotations
@@ -16,18 +17,15 @@ import warnings
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from mgsched import distributions as dist
 from mgsched.charging import StationParams
 from mgsched.dispatch import EssParams, MtUnit
-from mgsched.ev_fleet import EvParams, EvSession, build_windows, read_sessions_csv
+from mgsched.ev_fleet import HORIZON, EvParams, EvSession, build_windows, read_sessions_csv
 from mgsched.jaya import JayaConfig
 from mgsched.sequences import ProbSequence, convolve, discretize
-
-HOURS = 24
 
 
 class ScenarioError(ValueError):
@@ -78,20 +76,24 @@ def _fits_float(value, name: str):
     return value
 
 
-def _whole(doc: dict, key: str, context: str):
-    """``doc[key]`` when it is a finite number with no fractional part."""
+def _whole(doc: dict, key: str, context: str) -> int:
+    """``doc[key]`` when it is a finite number with no fractional part and
+    no larger than numpy's largest array dimension."""
     value = _number(doc, key, context)
     if not (isinstance(value, int) or value.is_integer()):
         raise ScenarioError(f"{context}.{key} must be a whole number")
-    return value
+    limit = np.iinfo(np.intp).max
+    if value > limit:
+        raise ScenarioError(f"{context}.{key} must be at most {limit}")
+    return int(value)
 
 
-def _positive(doc: dict, key: str, context: str):
+def _positive(doc: dict, key: str, context: str) -> float:
     """``doc[key]`` when it is a number above zero (NaN is not)."""
     value = _number(doc, key, context)
     if not value > 0.0:
         raise ScenarioError(f"{context}.{key} must be positive")
-    return value
+    return float(value)
 
 
 def _check_finite(value, name: str) -> None:
@@ -107,8 +109,8 @@ def _check_finite(value, name: str) -> None:
 
 
 def _hourly(values, context: str) -> np.ndarray:
-    if not isinstance(values, (list, tuple)) or len(values) != HOURS:
-        raise ScenarioError(f"{context} must list exactly {HOURS} hourly values")
+    if not isinstance(values, (list, tuple)) or len(values) != HORIZON:
+        raise ScenarioError(f"{context} must list exactly {HORIZON} hourly values")
     for h, value in enumerate(values):
         if not _is_number(value):
             raise ScenarioError(f"{context}[{h}] must be a number")
@@ -133,7 +135,7 @@ def _record(cls, block: dict, context: str, optional=(), **given):
         if f.type == "str":
             values[f.name] = str(_need(block, f.name, context))
         elif f.type == "int":
-            values[f.name] = int(_whole(block, f.name, context))
+            values[f.name] = _whole(block, f.name, context)
         else:
             values[f.name] = float(_number(block, f.name, context))
     try:
@@ -142,42 +144,61 @@ def _record(cls, block: dict, context: str, optional=(), **given):
         raise ScenarioError(f"{context}.{exc}") from exc
 
 
-def _check_renewables(doc: dict) -> None:
+def _check_renewables(hourly: dict, wind_speeds: tuple, step_q: float) -> None:
     """The ranges that the PV and wind models and :func:`discretize` require,
     named by scenario field and hour.  Written as ``not (...)`` so that NaN is
     rejected too."""
-    for name in ("pv", "wt"):
-        for h, p_rated in enumerate(doc[name]["p_rated"]):
+    for name in ("pv.p_rated", "wt.p_rated"):
+        for h, p_rated in enumerate(hourly[name]):
             if not p_rated >= 0.0:
-                raise ScenarioError(f"{name}.p_rated[{h}] must be non-negative")
-            if 0.0 < p_rated < doc["algorithm"]["step_q"]:
-                raise ScenarioError(f"{name}.p_rated[{h}] must be 0 or at least algorithm.step_q")
-    for name, keys in (("pv", ("alpha", "beta")), ("wt", ("k", "c"))):
-        for key in keys:
-            for h, value in enumerate(doc[name][key]):
-                if not value > 0.0:
-                    raise ScenarioError(f"{name}.{key}[{h}] must be positive")
-    wt = doc["wt"]
-    if not 0.0 <= wt["v_in"] < wt["v_rated"] < wt["v_out"]:
+                raise ScenarioError(f"{name}[{h}] must be non-negative")
+            if 0.0 < p_rated < step_q:
+                raise ScenarioError(f"{name}[{h}] must be 0 or at least algorithm.step_q")
+    for name in ("pv.alpha", "pv.beta", "wt.k", "wt.c"):
+        for h, value in enumerate(hourly[name]):
+            if not value > 0.0:
+                raise ScenarioError(f"{name}[{h}] must be positive")
+    v_in, v_rated, v_out = wind_speeds
+    if not 0.0 <= v_in < v_rated < v_out:
         raise ScenarioError("wt.v_in, wt.v_rated and wt.v_out must satisfy 0 <= v_in < v_rated < v_out")
 
 
-class Records(NamedTuple):
-    """The records of a scenario document, as :func:`validate_scenario`
-    reads them."""
+@dataclass
+class Scenario:
+    """Every value of a scenario document, as :func:`validate_scenario`
+    reads and converts it."""
 
     units: tuple[MtUnit, ...]
     ess: EssParams
-    ev: EvParams
+    base_load: np.ndarray  # load.mean
+    hourly: dict[str, np.ndarray]  # the PV and wind fields: "pv.alpha", ..., "wt.p_rated"
+    wind_speeds: tuple[float, float, float]  # wt.v_in, wt.v_rated, wt.v_out
+    ev_params: EvParams
+    max_dwell: float
     fleet: dist.FleetParams | None  # None when the fleet is a session table
+    count: int | None  # size of a sampled fleet
+    sessions_csv: Path | None
+    tou: np.ndarray
+    omega_ref: float
+    p_ref: float
+    price_floor: float
     station: StationParams
+    gamma: float
+    alpha_cap: float
+    step_q: float
+    penalty_weight: float
+    pricing_iterations: int
     jaya: JayaConfig  # seed 0 when the document leaves it to the run seed
+    jaya_seeded: bool  # the document sets algorithm.jaya.seed
+    ipm_tol: float
+    ipm_max_iter: int
+    seed: int
 
 
-def validate_scenario(doc: dict) -> Records:
-    """Read ``doc`` once into its records; a field that is missing, of the
-    wrong kind or out of range fails with a :class:`ScenarioError` that names
-    it."""
+def validate_scenario(doc: dict) -> Scenario:
+    """Read and convert every value of ``doc`` in one pass; a field that is
+    missing, of the wrong kind or out of range fails with a
+    :class:`ScenarioError` that names it."""
     for section in ("mt_units", "ess", "load", "pv", "wt", "fleet", "pricing", "station", "algorithm"):
         _need(doc, section, "scenario")
 
@@ -187,59 +208,62 @@ def validate_scenario(doc: dict) -> Records:
     units = tuple(_record(MtUnit, u, f"mt_units[{i}]") for i, u in enumerate(units))
     ess = _record(EssParams, doc["ess"], "ess")
 
-    _hourly(_need(doc["load"], "mean", "load"), "load.mean")
-
-    for name in ("pv", "wt"):
-        block = doc[name]
-        _hourly(_need(block, "p_rated", name), f"{name}.p_rated")
-    for key in ("alpha", "beta"):
-        _hourly(_need(doc["pv"], key, "pv"), f"pv.{key}")
-    for key in ("k", "c"):
-        _hourly(_need(doc["wt"], key, "wt"), f"wt.{key}")
-    for key in ("v_in", "v_rated", "v_out"):
-        _number(doc["wt"], key, "wt")
+    hourly = {f"{name}.{key}": _hourly(_need(doc[name], key, name), f"{name}.{key}")
+              for name, key in (("load", "mean"), ("pv", "p_rated"), ("wt", "p_rated"),
+                                ("pv", "alpha"), ("pv", "beta"), ("wt", "k"), ("wt", "c"))}
+    base_load = hourly.pop("load.mean")
+    wind_speeds = tuple(float(_number(doc["wt"], key, "wt")) for key in ("v_in", "v_rated", "v_out"))
 
     fleet = doc["fleet"]
     ev = _record(EvParams, fleet, "fleet")
-    _positive(fleet, "max_dwell", "fleet")
-    sampled = None
-    if "sessions_csv" not in fleet:
-        if _whole(fleet, "count", "fleet") < 1:
+    max_dwell = _positive(fleet, "max_dwell", "fleet")
+    sampled = count = sessions_csv = None
+    if "sessions_csv" in fleet:
+        sessions_csv = Path(fleet["sessions_csv"])
+    else:
+        count = _whole(fleet, "count", "fleet")
+        if count < 1:
             raise ScenarioError("fleet.count must be at least 1")
         sampled = _record(dist.FleetParams, fleet, "fleet", ev=ev)
 
     pricing = doc["pricing"]
-    _need(pricing, "tou", "pricing")
-    for key in ("peak", "flat", "offpeak"):
-        _positive(pricing["tou"], key, "pricing.tou")
-    for key in ("omega_ref", "p_ref", "price_floor"):
-        _positive(pricing, key, "pricing")
+    tou_block = _need(pricing, "tou", "pricing")
+    tou = tou_prices(*(_positive(tou_block, key, "pricing.tou") for key in ("peak", "flat", "offpeak")))
+    omega_ref, p_ref, price_floor = (_positive(pricing, key, "pricing")
+                                     for key in ("omega_ref", "p_ref", "price_floor"))
 
     station = _record(StationParams, doc["station"], "station")
 
     algo = doc["algorithm"]
     for key in ("jaya", "ipm"):
         _need(algo, key, "algorithm")
-    for key in ("gamma", "alpha_cap"):
-        _number(algo, key, "algorithm")
-    for key in ("step_q", "penalty_weight"):
-        _positive(algo, key, "algorithm")
-    if not 0.0 < algo["gamma"] <= 1.0:
+    gamma, alpha_cap = (float(_number(algo, key, "algorithm")) for key in ("gamma", "alpha_cap"))
+    step_q, penalty_weight = (_positive(algo, key, "algorithm") for key in ("step_q", "penalty_weight"))
+    if not 0.0 < gamma <= 1.0:
         raise ScenarioError("algorithm.gamma must lie in (0, 1]")
-    if not 0.0 < algo["alpha_cap"] <= 1.0:
+    if not 0.0 < alpha_cap <= 1.0:
         raise ScenarioError("algorithm.alpha_cap must lie in (0, 1]")
-    if _whole(algo, "pricing_iterations", "algorithm") < 1:
+    pricing_iterations = _whole(algo, "pricing_iterations", "algorithm")
+    if pricing_iterations < 1:
         raise ScenarioError("algorithm.pricing_iterations must be at least 1")
     jaya = _record(JayaConfig, algo["jaya"], "algorithm.jaya",
                    optional=("seed", "thr1", "thr2", "restart_fraction", "restart_cooldown"))
-    _positive(algo["ipm"], "tol", "algorithm.ipm")
-    if _whole(algo["ipm"], "max_iter", "algorithm.ipm") < 1:
+    ipm_tol = _positive(algo["ipm"], "tol", "algorithm.ipm")
+    ipm_max_iter = _whole(algo["ipm"], "max_iter", "algorithm.ipm")
+    if ipm_max_iter < 1:
         raise ScenarioError("algorithm.ipm.max_iter must be at least 1")
-    if _whole(doc, "seed", "scenario") < 0:
+    seed = _whole(doc, "seed", "scenario")
+    if seed < 0:
         raise ScenarioError("scenario.seed must be non-negative")
-    _check_renewables(doc)
+    _check_renewables(hourly, wind_speeds, step_q)
     _check_finite(doc, "")
-    return Records(units, ess, ev, sampled, station, jaya)
+    for h, load in enumerate(base_load):
+        if load < 0.0:
+            raise ScenarioError(f"load.mean[{h}] must be non-negative")
+    return Scenario(units, ess, base_load, hourly, wind_speeds, ev, max_dwell, sampled, count,
+                    sessions_csv, tou, omega_ref, p_ref, price_floor, station, gamma, alpha_cap, step_q,
+                    penalty_weight, pricing_iterations, jaya, "seed" in algo["jaya"],
+                    ipm_tol, ipm_max_iter, seed)
 
 
 # Hour blocks of the grid time-of-use tariff (end-exclusive ranges).
@@ -248,36 +272,21 @@ TOU_OFFPEAK_HOURS = list(range(0, 6)) + [18]
 
 
 def tou_prices(peak: float, flat: float, offpeak: float) -> np.ndarray:
-    prices = np.full(HOURS, flat)
+    prices = np.full(HORIZON, flat)
     prices[list(TOU_PEAK_HOURS)] = peak
     prices[TOU_OFFPEAK_HOURS] = offpeak
     return prices
 
 
 @dataclass
-class ScenarioRuntime:
-    """Validated scenario unpacked into solver-ready objects."""
+class ScenarioRuntime(Scenario):
+    """A validated scenario unpacked into solver-ready objects, with the
+    run's seed, JAYA seed and pricing iteration count in place of the
+    document's."""
 
-    units: tuple[MtUnit, ...]
-    ess: EssParams
-    base_load: np.ndarray
     renewables: tuple[tuple[dist.PdfSpec, dist.PdfSpec], ...]  # (PV, wind) per hour
     sequences: tuple[ProbSequence, ...]
     sessions: list[EvSession]
-    ev_params: EvParams
-    station: StationParams
-    tou: np.ndarray
-    omega_ref: float
-    p_ref: float
-    price_floor: float
-    gamma: float
-    alpha_cap: float
-    pricing_iterations: int
-    penalty_weight: float
-    jaya: JayaConfig
-    ipm_tol: float
-    ipm_max_iter: int
-    seed: int
 
 
 def _discretized(spec: dist.PdfSpec, p_rated: float, q: float, source: str) -> ProbSequence:
@@ -302,64 +311,36 @@ def _discretized(spec: dist.PdfSpec, p_rated: float, q: float, source: str) -> P
 
 def prepare(doc: dict, seed: int | None = None, iterations: int | None = None,
             scenario_dir: Path | None = None) -> ScenarioRuntime:
-    """Build the runtime bundle; ``seed``/``iterations`` override the document."""
-    records = validate_scenario(doc)
-    run_seed = int(doc["seed"] if seed is None else seed)
+    """Build the runtime bundle from what :func:`validate_scenario` reads;
+    ``seed``/``iterations`` override the document."""
+    r = validate_scenario(doc)
+    run_seed = r.seed if seed is None else int(seed)
     if run_seed < 0:
         raise ScenarioError("seed must be non-negative")
+    n_iters = r.pricing_iterations if iterations is None else int(iterations)
+    if n_iters < 1:
+        raise ScenarioError("pricing iterations must be at least 1")
 
-    base_load = _hourly(doc["load"]["mean"], "load.mean")
-    q = float(doc["algorithm"]["step_q"])
-
-    pv, wt = doc["pv"], doc["wt"]
     renewables, sequences = [], []
-    for h in range(HOURS):
-        pv_spec = dist.beta_pv_pdf(float(pv["alpha"][h]), float(pv["beta"][h]), float(pv["p_rated"][h]))
-        wt_spec = dist.weibull_wt_pdf(
-            float(wt["k"][h]), float(wt["c"][h]), float(wt["v_in"]),
-            float(wt["v_rated"]), float(wt["v_out"]), float(wt["p_rated"][h]),
-        )
+    names = ("pv.alpha", "pv.beta", "pv.p_rated", "wt.k", "wt.c", "wt.p_rated")
+    for h, (alpha, beta, pv_rated, k, c, wt_rated) in enumerate(zip(*(r.hourly[n].tolist() for n in names))):
+        pv_spec = dist.beta_pv_pdf(alpha, beta, pv_rated)
+        wt_spec = dist.weibull_wt_pdf(k, c, *r.wind_speeds, wt_rated)
         renewables.append((pv_spec, wt_spec))
-        seq_pv = _discretized(pv_spec, float(pv["p_rated"][h]), q, f"pv[{h}]")
-        seq_wt = _discretized(wt_spec, float(wt["p_rated"][h]), q, f"wt[{h}]")
+        seq_pv = _discretized(pv_spec, pv_rated, r.step_q, f"pv[{h}]")
+        seq_wt = _discretized(wt_spec, wt_rated, r.step_q, f"wt[{h}]")
         sequences.append(convolve(seq_pv, seq_wt))
 
-    f = doc["fleet"]
-    if records.fleet is None:
-        csv_path = Path(f["sessions_csv"])
+    if r.fleet is None:
+        csv_path = r.sessions_csv
         if not csv_path.is_absolute() and scenario_dir is not None:
             csv_path = scenario_dir / csv_path
         sessions = read_sessions_csv(csv_path)
     else:
-        sessions = dist.sample_fleet(records.fleet, int(f["count"]), run_seed)
-    sessions = build_windows(sessions, records.ev, max_dwell=float(f["max_dwell"]))
+        sessions = dist.sample_fleet(r.fleet, r.count, run_seed)
+    sessions = build_windows(sessions, r.ev_params, max_dwell=r.max_dwell)
 
-    pr = doc["pricing"]
-    algo = doc["algorithm"]
-    jaya = records.jaya if "seed" in algo["jaya"] else replace(records.jaya, seed=run_seed)
-    n_iters = int(algo["pricing_iterations"] if iterations is None else iterations)
-    if n_iters < 1:
-        raise ScenarioError("pricing iterations must be at least 1")
-
-    return ScenarioRuntime(
-        units=records.units,
-        ess=records.ess,
-        base_load=base_load,
-        renewables=tuple(renewables),
-        sequences=tuple(sequences),
-        sessions=sessions,
-        ev_params=records.ev,
-        station=records.station,
-        tou=tou_prices(float(pr["tou"]["peak"]), float(pr["tou"]["flat"]), float(pr["tou"]["offpeak"])),
-        omega_ref=float(pr["omega_ref"]),
-        p_ref=float(pr["p_ref"]),
-        price_floor=float(pr["price_floor"]),
-        gamma=float(algo["gamma"]),
-        alpha_cap=float(algo["alpha_cap"]),
-        pricing_iterations=n_iters,
-        penalty_weight=float(algo["penalty_weight"]),
-        jaya=jaya,
-        ipm_tol=float(algo["ipm"]["tol"]),
-        ipm_max_iter=int(algo["ipm"]["max_iter"]),
-        seed=run_seed,
-    )
+    jaya = r.jaya if r.jaya_seeded else replace(r.jaya, seed=run_seed)
+    r = replace(r, pricing_iterations=n_iters, jaya=jaya, seed=run_seed)
+    return ScenarioRuntime(**vars(r), renewables=tuple(renewables), sequences=tuple(sequences),
+                           sessions=sessions)

@@ -1,5 +1,6 @@
 """EV session arithmetic and window construction."""
 
+import numpy as np
 import pytest
 
 from mgsched.distributions import FleetParams, sample_fleet
@@ -9,6 +10,7 @@ from mgsched.ev_fleet import (
     build_windows,
     read_sessions_csv,
     soc_target,
+    write_csv,
     write_sessions_csv,
 )
 
@@ -115,3 +117,9 @@ def test_session_csv_round_trip(tmp_path):
         assert back.soc_target == orig.soc_target
         assert back.required_energy == orig.required_energy
         assert back.window == orig.window
+
+
+def test_write_csv_writes_floats_as_repr_and_integers_as_integers(tmp_path):
+    path = tmp_path / "table.csv"
+    write_csv(path, ["n", "count", "label", "x", "tiny"], [[np.int64(3), 7, "total", np.float64(0.1), 1e-300]])
+    assert path.read_bytes() == b"n,count,label,x,tiny\r\n3,7,total,0.1,1e-300\r\n"

@@ -185,6 +185,11 @@ def test_out_of_range_unit_or_storage_rejected_by_name(baseline_doc, field, valu
         pytest.param("mt_units[0].p_max", 10**400, "mt_units[0].p_max must be finite", id="p_max-int_beyond_float"),
         pytest.param("load.mean[3]", -(10**400), "load.mean[3] must be finite", id="load-int_beyond_float"),
         pytest.param("fleet.count", 10**400, "fleet.count must be finite", id="count-int_beyond_float"),
+        ("load.mean[3]", -1.0, "load.mean[3] must be non-negative"),
+        pytest.param("fleet.count", 10**300, "fleet.count must be at most 9223372036854775807",
+                     id="count-beyond_intp"),
+        pytest.param("algorithm.jaya.pop_size", 10**300,
+                     "algorithm.jaya.pop_size must be at most 9223372036854775807", id="pop_size-beyond_intp"),
     ],
 )
 def test_non_finite_fractional_or_nonpositive_rejected_by_name(baseline_doc, field, value, message):
@@ -445,11 +450,11 @@ def _names(message, field):
     return field in message or (message.startswith(f"{block}.") and re.search(rf"\b{key}\b", message))
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(data=st.data())
-def test_one_changed_number_runs_checked_or_fails_by_field(quick_scenario, data):
-    doc = json.loads(quick_scenario.read_text())
-    blocks = {key: doc[key] for key in ("mt_units", "ess", "fleet", "station", "algorithm")}
+def _one_changed_number_runs_checked_or_fails_by_field(scenario, data, sections):
+    """Change one number of ``sections`` of ``scenario``: the run either
+    passes its checks or fails on one line that names the field."""
+    doc = json.loads(scenario.read_text())
+    blocks = {key: doc[key] for key in sections}
     field, value = data.draw(st.sampled_from(_numbers_by_field(blocks)), label="field")
     scales = (0.5,) if field in SIZES else (0.5, 2.0)
     new = data.draw(st.sampled_from([0, -1] + [f * value for f in scales]) | st.floats(0.05, 0.95), label="value")
@@ -469,6 +474,19 @@ def test_one_changed_number_runs_checked_or_fails_by_field(quick_scenario, data)
     assert last.startswith("run failed: ") or (
         last.startswith("invalid scenario: ") and _names(last.removeprefix("invalid scenario: "), field)
     ), last
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_one_changed_number_runs_checked_or_fails_by_field(quick_scenario, data):
+    _one_changed_number_runs_checked_or_fails_by_field(
+        quick_scenario, data, ("mt_units", "ess", "fleet", "station", "algorithm"))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_one_changed_hourly_pricing_or_seed_number_runs_checked_or_fails_by_field(quick_scenario, data):
+    _one_changed_number_runs_checked_or_fails_by_field(quick_scenario, data, ("load", "pv", "wt", "pricing", "seed"))
 
 
 def test_cli_run_writes_outputs(quick_scenario, tmp_path, capsys):
