@@ -284,7 +284,7 @@ def _repair_population(p_ch: np.ndarray, p_dc: np.ndarray, on: np.ndarray, input
     on = np.ascontiguousarray(on.transpose(1, 0, 2))
     on_max = on * inputs.p_max
     p_mt = on * inputs.p_min
-    r_mt = np.zeros_like(on)
+    r_mt = np.zeros(on.shape)
 
     # Storage: mutual exclusion, power limits, then an energy trajectory that
     # stays inside the capacity band and can always return to the boundary
@@ -339,7 +339,7 @@ def _repair_population(p_ch: np.ndarray, p_dc: np.ndarray, on: np.ndarray, input
 
     # Reserve lift: cover the requirement with the cheapest remaining
     # headroom so the chance constraint binds instead of penalizing.
-    need = np.tile(inputs.reserve_requirement, (pop, 1))
+    need = np.full((pop, t), inputs.reserve_requirement)
     np.subtract(on_max, p_mt, out=headroom)
     np.maximum(headroom, _ZERO, out=headroom)
     for source in inputs.reserve_order:
@@ -357,10 +357,11 @@ def _repair_population(p_ch: np.ndarray, p_dc: np.ndarray, on: np.ndarray, input
     deficit = np.maximum(demand - supply, _ZERO)
 
     # Start-ups: positive steps of the commitment, from off before period 0.
-    # Commitments are 0/1, so each difference is exact.
+    # Commitments are 0/1, so each difference is exact.  One pass over the
+    # flat buffer; its period-0 entries step across rows and are overwritten.
     startup = np.empty_like(on)
+    np.subtract(on.reshape(-1)[1:], on.reshape(-1)[:-1], out=startup.reshape(-1)[1:])
     startup[:, :, 0] = on[:, :, 0]
-    np.subtract(on[:, :, 1:], on[:, :, :-1], out=startup[:, :, 1:])
     np.maximum(startup, _ZERO, out=startup)
     return (p_mt.transpose(1, 0, 2), r_mt.transpose(1, 0, 2), p_ch, p_dc, p_res, p_un, soc,
             startup.transpose(1, 0, 2), deficit, reserve_short)

@@ -8,7 +8,6 @@ All sampling is a pure function of (parameters, count, seed).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -118,28 +117,13 @@ def initial_soc_pdf(mean: float, std: float, lo: float, hi: float) -> PdfSpec:
     return PdfSpec(PdfKind.INITIAL_SOC, {"mean": mean, "std": std, "lo": lo, "hi": hi}, (lo, hi))
 
 
-def _pow(base: float, exponent: float) -> float:
-    """C ``pow``: ``math.pow`` raises on overflow where ``pow`` returns inf."""
-    try:
-        return math.pow(base, exponent)
-    except OverflowError:
-        return math.inf
+def weibull_sf(v, k, c):
+    """Weibull survival function P(V > v) = exp(-(v / c) ** k) at ``v >= 0``.
 
-
-def libm_pow(base, exponent: float) -> np.ndarray:
-    """``base ** exponent`` (``base >= 0``) elementwise through the C
-    library's ``pow``.
-
-    numpy's array power may take a SIMD path that differs in the last bit
-    from ``pow``, which numpy scalars use; going through ``pow`` keeps a value
-    the same whether it is computed on an array or one point at a time."""
-    base = np.asarray(base, dtype=float)
-    flat = map(_pow, base.ravel().tolist(), itertools.repeat(exponent))
-    return np.fromiter(flat, float, base.size).reshape(base.shape)
-
-
-def _weibull_sf(v, k, c):
-    return np.exp(-libm_pow(np.asarray(v, dtype=float) / c, k))
+    Where ``(v / c) ** k`` overflows to inf, the result is its exact limit 0,
+    so the overflow is not reported."""
+    with np.errstate(over="ignore"):
+        return np.exp(-((np.asarray(v, dtype=float) / c) ** k))
 
 
 def density(spec: PdfSpec, x):
@@ -164,13 +148,11 @@ def density(spec: PdfSpec, x):
             return np.zeros_like(x)
         k, c = p["k"], p["c"]
         dv_dp = (p["v_rated"] - p["v_in"]) / pr
-        # points off the support get a stand-in inside it, where pow cannot
-        # fail, and are zeroed below
+        # points off the support get a stand-in inside it and are zeroed below
         inside = (x > 0.0) & (x < pr)
         v = p["v_in"] + np.where(inside, x, 0.5 * pr) * dv_dp
-        f_v = (k / c) * libm_pow(v / c, k - 1.0) * _weibull_sf(v, k, c)
-        out = f_v * dv_dp
-        return np.where(inside, out, 0.0)
+        f_v = (k / c) * (v / c) ** (k - 1.0) * weibull_sf(v, k, c)
+        return np.where(inside, f_v * dv_dp, 0.0)
     if spec.kind is PdfKind.ARRIVAL_TIME:
         return pdf_arrival(x, p["mu"], p["sigma"])
     if spec.kind is PdfKind.MILEAGE:
@@ -193,8 +175,8 @@ def atoms(spec: PdfSpec) -> list[tuple[float, float]]:
         if pr == 0.0:
             return [(0.0, 1.0)]
         k, c = p["k"], p["c"]
-        at_zero = 1.0 - _weibull_sf(p["v_in"], k, c) + _weibull_sf(p["v_out"], k, c)
-        at_rated = _weibull_sf(p["v_rated"], k, c) - _weibull_sf(p["v_out"], k, c)
+        at_zero = 1.0 - weibull_sf(p["v_in"], k, c) + weibull_sf(p["v_out"], k, c)
+        at_rated = weibull_sf(p["v_rated"], k, c) - weibull_sf(p["v_out"], k, c)
         return [(0.0, float(at_zero)), (pr, float(at_rated))]
     return []
 

@@ -128,7 +128,7 @@ def optimize(
 
     fitness = evaluate(x, b)
     evaluations = pop
-    best_i = int(np.argmin(fitness))
+    best_i = int(fitness.argmin())
 
     history = np.empty(config.max_iter)
     restarts = np.zeros(config.max_iter, dtype=bool)
@@ -144,7 +144,7 @@ def optimize(
     box_lo = np.tile(np.concatenate([lower, np.full(n_binary, -np.inf)]), (pop, 1))
     box_hi = np.tile(np.concatenate([upper, np.full(n_binary, np.inf)]), (pop, 1))
     for it in range(config.max_iter):
-        worst_i = int(np.argmax(fitness))
+        worst_i = int(fitness.argmax())
 
         rng.random(out=r1)
         rng.random(out=r2)
@@ -162,7 +162,7 @@ def optimize(
         fitness[improved] = f_new[improved]
 
         var_curr = variance()
-        best_i = int(np.argmin(fitness))
+        best_i = int(fitness.argmin())
         stagnant = var_prev is not None and restart_check(var_prev, var_curr, config.thr1, config.thr2)
         if stagnant and cooldown == 0:
             restarts[it] = True
@@ -177,13 +177,13 @@ def optimize(
             fitness[chosen] = evaluate(x[chosen], b[chosen])
             evaluations += k
             var_curr = variance()
-            best_i = int(np.argmin(fitness))
+            best_i = int(fitness.argmin())
         elif cooldown > 0:
             cooldown -= 1
 
         history[it] = fitness[best_i]
         var_prev = var_curr
 
-    best_i = int(np.argmin(fitness))
+    best_i = int(fitness.argmin())
     best = Candidate(continuous=x[best_i].copy(), binary=b[best_i].copy(), fitness=float(fitness[best_i]))
     return JayaResult(best=best, history=history, restarts=restarts, evaluations=evaluations)

@@ -219,6 +219,8 @@ def validate_scenario(doc: dict) -> Scenario:
     max_dwell = _positive(fleet, "max_dwell", "fleet")
     sampled = count = sessions_csv = None
     if "sessions_csv" in fleet:
+        if not isinstance(fleet["sessions_csv"], str):
+            raise ScenarioError("fleet.sessions_csv must be a string")
         sessions_csv = Path(fleet["sessions_csv"])
     else:
         count = _whole(fleet, "count", "fleet")

@@ -6,7 +6,11 @@ convolution (the distribution of the summed output).  The sequence of the
 joint output converts the probabilistic spinning-reserve requirement into a
 deterministic minimum-reserve value at a given confidence level.
 
-Each bin's probability is the integral of the density over the bin, with the
+A wind bin's probability is exact: below rated output, power p comes from the
+wind speed v(p) on the power curve's linear ramp, so the bin [lo, hi] holds
+S(v(lo)) - S(v(hi)), with S the Weibull survival function of the wind speed.
+
+A PV bin's probability is the integral of the density over the bin, with the
 value ``scipy.integrate.quad`` gives, bit for bit.  ``quad`` runs QUADPACK's
 QAGS, whose first step applies the 21-point Gauss–Kronrod rule to the whole
 interval and stops when the error estimate passes.  That step is computed for
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from mgsched.distributions import PdfSpec, atoms, density, libm_pow
+from mgsched.distributions import PdfKind, PdfSpec, atoms, density, weibull_sf
 
 SUM_TOL = 1e-9
 DISCRETIZATION_TOL = 1e-6
@@ -95,10 +99,11 @@ def discretize(pdf: PdfSpec, p_max: float, q: float) -> ProbSequence:
 
     Bin 0 covers [0, q/2); interior bin i covers [i*q - q/2, i*q + q/2); the
     final bin covers the remainder up to ``p_max``.  Point masses are added to
-    the bin containing them.  The density is integrated over every non-empty
-    bin by :func:`_bin_integrals`, which returns ``integrate.quad``'s values
-    bit for bit.  Residual mass error below ``1e-6`` is renormalized away;
-    anything larger raises :class:`DiscretizationError`.
+    the bin containing them.  A non-empty wind bin takes its exact mass; the
+    PV density is integrated over every non-empty bin by :func:`_bin_integrals`,
+    which returns ``integrate.quad``'s values bit for bit.  Residual mass
+    error below ``1e-6`` is renormalized away; anything larger raises
+    :class:`DiscretizationError`.
     """
     if q <= 0.0:
         raise ValueError("step q must be positive")
@@ -127,7 +132,13 @@ def discretize(pdf: PdfSpec, p_max: float, q: float) -> ProbSequence:
         atom_mass += weight
     if atom_mass < 1.0 - 1e-12:
         live = np.flatnonzero(edges[1:] > edges[:-1])
-        probs[live] += _bin_integrals(pdf, edges[live], edges[live + 1])
+        if pdf.kind is PdfKind.WEIBULL_WT:  # S(v(lo)) - S(v(hi)), S at each edge once
+            p = pdf.params
+            v = p["v_in"] + np.minimum(edges, p["p_rated"]) * ((p["v_rated"] - p["v_in"]) / p["p_rated"])
+            sf = weibull_sf(v, p["k"], p["c"])
+            probs[live] += sf[live] - sf[live + 1]
+        else:
+            probs[live] += _bin_integrals(pdf, edges[live], edges[live + 1])
 
     total = float(probs.sum())
     if abs(total - 1.0) > DISCRETIZATION_TOL:
@@ -171,10 +182,10 @@ def _bin_integrals(pdf: PdfSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     resasc = resasc * hlgth
     abserr = np.abs((resk - resg) * hlgth)
     scaled = (resasc != 0.0) & (abserr != 0.0)
-    # min(1, r**1.5) with r capped at 1 first, which changes no value and
-    # keeps pow from overflowing
+    # min(1, r**1.5) with r capped at 1 first, which changes no value; the
+    # C library's pow, which numpy's array power can differ from in the last bit
     ratio = np.minimum(200.0 * abserr[scaled] / resasc[scaled], 1.0)
-    abserr[scaled] = resasc[scaled] * libm_pow(ratio, 1.5)
+    abserr[scaled] = resasc[scaled] * np.array([math.pow(r, 1.5) for r in ratio.tolist()])
     abserr = np.where(resabs > UFLOW / (50.0 * EPMACH), np.maximum(EPMACH * 50.0 * resabs, abserr), abserr)
 
     # dqagse: exit after the first step on round-off (ier = 2), on an error

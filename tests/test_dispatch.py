@@ -377,7 +377,10 @@ def _reference_fitness(x, b, inputs):
 TIGHT_ESS = EssParams(10.0, 50.0, 40.0, 40.0, 0.95, 0.9, 0.3, 0.5, 0.02, 30.0)
 NO_CHARGE_ESS = EssParams(32.0, 160.0, 0.0, 40.0, 0.95, 0.95, 0.3, 0.5, 0.02, 96.0)
 NO_DISCHARGE_ESS = EssParams(32.0, 160.0, 40.0, 0.0, 0.95, 0.95, 0.3, 0.5, 0.02, 96.0)
-ORACLE_ESS = (ESS, TIGHT_ESS, NO_CHARGE_ESS, NO_DISCHARGE_ESS, NO_ESS)
+# Validation accepts -0.0 for the floor and the start, where a box can return
+# either sign of zero.
+SIGNED_ZERO_ESS = EssParams(-0.0, 50.0, 40.0, 40.0, 0.95, 0.9, 0.3, 0.5, 0.02, -0.0)
+ORACLE_ESS = (ESS, TIGHT_ESS, NO_CHARGE_ESS, NO_DISCHARGE_ESS, NO_ESS, SIGNED_ZERO_ESS)
 ORACLE_UNITS = ((MT1, MT2, MT3), (MT3,), (MtUnit("Z", 0.5, 0.8, 0.3, 0.04, 0.0, 20.0), MT1))
 
 

@@ -111,11 +111,10 @@ def test_density_nonnegative_on_support():
     assert np.all(dist.density(spec, xs) >= 0.0)
 
 
-@pytest.mark.parametrize(
-    "spec", [dist.beta_pv_pdf(2.6, 2.4, 38.0), dist.weibull_wt_pdf(2.1, 7.0, 3.0, 12.0, 22.0, 30.0)]
-)
+@pytest.mark.parametrize("spec", [dist.beta_pv_pdf(2.6, 2.4, 38.0), dist.beta_pv_pdf(0.9, 1.7, 13.0)])
 def test_density_on_array_matches_pointwise_bitwise(spec):
-    # discretize evaluates the density on arrays; quad did so one point at a time
+    # discretize evaluates the PV density on arrays; quad does so one point at
+    # a time.  Wind bins are exact, so no quadrature reads the wind density.
     xs = np.linspace(-1.0, spec.support[1] + 1.0, 20000)
     pointwise = np.array([float(dist.density(spec, x)) for x in xs])
     assert dist.density(spec, xs).tobytes() == pointwise.tobytes()

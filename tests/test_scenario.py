@@ -190,6 +190,9 @@ def test_out_of_range_unit_or_storage_rejected_by_name(baseline_doc, field, valu
                      id="count-beyond_intp"),
         pytest.param("algorithm.jaya.pop_size", 10**300,
                      "algorithm.jaya.pop_size must be at most 9223372036854775807", id="pop_size-beyond_intp"),
+        pytest.param("fleet.sessions_csv", 5, "fleet.sessions_csv must be a string", id="sessions_csv-int"),
+        pytest.param("fleet.sessions_csv", None, "fleet.sessions_csv must be a string", id="sessions_csv-null"),
+        pytest.param("fleet.sessions_csv", ["a"], "fleet.sessions_csv must be a string", id="sessions_csv-list"),
     ],
 )
 def test_non_finite_fractional_or_nonpositive_rejected_by_name(baseline_doc, field, value, message):
@@ -358,12 +361,22 @@ def test_cli_validate_rejects_nan_hourly_value(baseline_doc, tmp_path, capsys):
     assert capsys.readouterr().err == "invalid scenario: load.mean[5] must be finite\n"
 
 
-NAN_BINS_ERROR = "invalid scenario: wt[0] cannot be discretized: probabilities must be finite\n"
+NAN_BINS_ERROR = "invalid scenario: pv[6] cannot be discretized: probabilities must be finite\n"
 
 
 def _nan_bins_doc(baseline_doc):
-    """The baseline with a Weibull density of inf * 0 inside its support,
-    which integrates to NaN bins."""
+    """The baseline with Beta shapes so large that ``betaln`` of them is NaN,
+    so the PV density is NaN inside its support and integrates to NaN bins
+    (hour 6 is the first with sunlight)."""
+    doc = copy.deepcopy(baseline_doc)
+    doc["pv"]["alpha"] = [1e308] * 24
+    doc["pv"]["beta"] = [1e308] * 24
+    return doc
+
+
+def _steep_wind_doc(baseline_doc):
+    """The baseline with a Weibull wind speed so steep that (v / c) ** k
+    overflows on most of the ramp."""
     doc = copy.deepcopy(baseline_doc)
     doc["wt"]["v_in"] = 0.0
     doc["wt"]["k"] = [400.0] * 24
@@ -380,19 +393,30 @@ def test_cli_validate_rejects_nan_bins_by_source_and_hour(baseline_doc, tmp_path
 
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_cli_nan_bins_error_is_the_whole_of_stderr(baseline_doc, tmp_path, command):
-    # pytest captures warnings, so only a separate interpreter shows what a
-    # shell user sees
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(_nan_bins_doc(baseline_doc)))
+    done = _cli_in_own_interpreter(_nan_bins_doc(baseline_doc), tmp_path, command)
+    assert done.returncode == 1
+    assert done.stderr == NAN_BINS_ERROR
+
+
+def test_cli_validates_steep_wind_with_empty_stderr(baseline_doc, tmp_path):
+    # the overflow is the exact limit S = 0 of the survival function
+    done = _cli_in_own_interpreter(_steep_wind_doc(baseline_doc), tmp_path, "validate")
+    assert done.returncode == 0
+    assert done.stderr == ""
+
+
+def _cli_in_own_interpreter(doc, tmp_path, command):
+    """``mgsched <command>`` on ``doc`` in a separate interpreter: pytest
+    captures warnings, so only there does stderr show what a shell user sees."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONWARNINGS", None)
-    args = [sys.executable, "-m", "mgsched.cli", command, "--scenario", str(bad)]
+    args = [sys.executable, "-m", "mgsched.cli", command, "--scenario", str(path)]
     if command == "run":
         args += ["--iters", "1", "--out-dir", str(tmp_path / "out")]
-    done = subprocess.run(args, capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 1
-    assert done.stderr == NAN_BINS_ERROR
+    return subprocess.run(args, capture_output=True, text=True, env=env, timeout=120)
 
 
 def test_discretization_that_succeeds_shows_its_warnings(monkeypatch):

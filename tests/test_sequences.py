@@ -9,7 +9,7 @@ import pytest
 from scipy import integrate
 
 from mgsched import sequences
-from mgsched.distributions import atoms, beta_pv_pdf, density, weibull_wt_pdf
+from mgsched.distributions import PdfKind, atoms, beta_pv_pdf, density, weibull_wt_pdf
 from mgsched.sequences import (
     ProbSequence,
     convolve,
@@ -53,6 +53,14 @@ def test_wind_below_cut_in_puts_all_mass_at_zero():
     assert not seq.probs[1:].any()
 
 
+def test_wind_grid_beyond_rated_output_adds_no_mass():
+    # above the rated output the power curve is flat: no wind speed maps there
+    spec = weibull_wt_pdf(2.1, 7.0, 3.0, 12.0, 22.0, 30.0)
+    wide = discretize(spec, 40.0, 2.5).probs
+    assert wide[:13] == pytest.approx(discretize(spec, 30.0, 2.5).probs, rel=1e-15, abs=0.0)
+    assert not wide[13:].any()
+
+
 def test_discretization_rejects_lost_mass():
     # binning a 38 kW panel onto a 20 kW grid drops real probability mass
     from mgsched.sequences import DiscretizationError
@@ -61,11 +69,29 @@ def test_discretization_rejects_lost_mass():
         discretize(beta_pv_pdf(2.6, 2.4, 38.0), 20.0, 2.5)
 
 
-def _discretize_reference(pdf, p_max, q):
-    """``discretize`` as it was written with one ``integrate.quad`` call per
-    bin: the bitwise reference for the vectorized Gauss–Kronrod bins."""
+def _quad_masses(pdf, edges):
+    """The integral of the density over each bin, one ``integrate.quad`` call
+    per non-empty bin."""
+    return [integrate.quad(lambda x: float(density(pdf, x)), lo, hi, limit=200)[0] if hi > lo else 0.0
+            for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def _wind_masses(pdf, edges):
+    """The exact mass of each wind bin [lo, hi): S(v(lo)) - S(v(hi)), with S
+    the Weibull survival function exp(-(v / c) ** k) and v(p) the wind speed
+    at which the power curve's ramp gives p kW."""
+    p = pdf.params
+    speed = p["v_in"] + np.minimum(edges, p["p_rated"]) * ((p["v_rated"] - p["v_in"]) / p["p_rated"])
+    with np.errstate(over="ignore"):
+        survival = np.exp(-((speed / p["c"]) ** p["k"]))
+    return survival[:-1] - survival[1:]
+
+
+def _discretize_reference(pdf, p_max, q, bin_masses):
+    """``discretize`` written bin by bin, with the masses ``bin_masses`` gives:
+    the renormalized bins and the total they were divided by."""
     if p_max == 0.0:
-        return np.array([1.0])
+        return np.array([1.0]), 1.0
     n = int(math.ceil(p_max / q))
     edges = np.empty(n + 2)
     edges[0] = 0.0
@@ -80,12 +106,12 @@ def _discretize_reference(pdf, p_max, q):
         probs[min(idx, n)] += weight
         atom_mass += weight
     if atom_mass < 1.0 - 1e-12:
+        masses = bin_masses(pdf, edges)
         for i in range(n + 1):
-            lo, hi = edges[i], edges[i + 1]
-            if hi > lo:
-                val, _ = integrate.quad(lambda x: float(density(pdf, x)), lo, hi, limit=200)
-                probs[i] += val
-    return probs / float(probs.sum())
+            if edges[i + 1] > edges[i]:
+                probs[i] += masses[i]
+    total = float(probs.sum())
+    return probs / total, total
 
 
 def _renewable_specs(doc, q=None):
@@ -131,9 +157,18 @@ class _QuadRecorder:
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_bins_match_per_bin_quad_bitwise(case, baseline_scaled):
+    # PV bins are quad's values bit for bit.  Wind bins are exact: they are
+    # their closed form bit for bit, hold with the atoms all of the mass, and
+    # agree with quad to its accuracy.
     for spec, p_max, q in ORACLE_CASES[case](baseline_scaled):
         got = discretize(spec, p_max, q).probs
-        want = _discretize_reference(spec, p_max, q)
+        by_quad, _ = _discretize_reference(spec, p_max, q, _quad_masses)
+        if spec.kind is PdfKind.WEIBULL_WT:
+            want, total = _discretize_reference(spec, p_max, q, _wind_masses)
+            assert abs(total - 1.0) <= 1e-12, (spec, q)
+            assert np.abs(got - by_quad).max() <= 1e-13, (spec, q)
+        else:
+            want = by_quad
         assert got.tobytes() == want.tobytes(), (spec, q)
 
 
