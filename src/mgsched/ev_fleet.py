@@ -2,9 +2,11 @@
 
 A charging session records one vehicle's arrival, travel demand and state of
 charge, plus the window of whole scheduling periods in which it may charge.
-Windows are contiguous and never cross midnight; sessions whose truncated
-window cannot absorb the full charge target are flagged.  :func:`write_csv`
-holds the CSV format of every table that a run writes.
+A window starts at the first period that begins at or after the arrival, or
+at the day's last period for an arrival after 23:00.  Windows are contiguous
+and never cross midnight; sessions whose truncated window cannot absorb the
+full charge target are flagged.  :func:`write_csv` holds the CSV format of
+every table that a run writes.
 """
 
 from __future__ import annotations
@@ -78,11 +80,14 @@ def build_windows(
 ) -> list[EvSession]:
     """Attach charging windows to sessions.
 
-    The window runs from the first whole period after arrival for ``max_dwell``
-    periods, truncated at the end of the day.  ``max_dwell`` is auto-raised to
-    the fleet's rated-power feasibility minimum.  Sessions that still cannot
-    absorb their required energy (late arrivals cut off at midnight) have the
-    target clamped to the deliverable maximum and are flagged.
+    The window starts at period ceil(arrival), the first period that begins
+    at or after the arrival, except that an arrival after 23:00 starts at the
+    day's last period, 23, which begins before the vehicle arrives.  It runs
+    for ``max_dwell`` periods, truncated at the end of the day.
+    ``max_dwell`` is auto-raised to the fleet's rated-power feasibility
+    minimum.  Sessions that still cannot absorb their required energy (late
+    arrivals cut off at midnight) have the target clamped to the deliverable
+    maximum and are flagged.
     """
     if max_dwell <= 0.0:
         raise ValueError("max_dwell must be positive")
@@ -151,12 +156,16 @@ def read_sessions_csv(path) -> list[EvSession]:
         if reader.fieldnames != SESSION_CSV_COLUMNS:
             raise ValueError(f"unexpected session CSV header: {reader.fieldnames}")
         for row in reader:
+            arrival = float(row["arrival"])
+            if not 0.0 < arrival <= HORIZON:  # NaN fails too
+                raise ValueError(f"{path} line {reader.line_num}: arrival must lie in (0, {HORIZON}], "
+                                 f"got {row['arrival']}")
             start, end = int(row["window_start"]), int(row["window_end"])
             window = tuple(range(start, end)) if start >= 0 else ()
             sessions.append(
                 EvSession(
                     ev_id=int(row["ev_id"]),
-                    arrival_hour=float(row["arrival"]),
+                    arrival_hour=arrival,
                     mileage=float(row["mileage"]),
                     soc_initial=float(row["soc_initial"]),
                     soc_target=float(row["soc_target"]),

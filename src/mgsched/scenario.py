@@ -286,7 +286,6 @@ class ScenarioRuntime(Scenario):
     run's seed, JAYA seed and pricing iteration count in place of the
     document's."""
 
-    renewables: tuple[tuple[dist.PdfSpec, dist.PdfSpec], ...]  # (PV, wind) per hour
     sequences: tuple[ProbSequence, ...]
     sessions: list[EvSession]
 
@@ -323,12 +322,11 @@ def prepare(doc: dict, seed: int | None = None, iterations: int | None = None,
     if n_iters < 1:
         raise ScenarioError("pricing iterations must be at least 1")
 
-    renewables, sequences = [], []
+    sequences = []
     names = ("pv.alpha", "pv.beta", "pv.p_rated", "wt.k", "wt.c", "wt.p_rated")
     for h, (alpha, beta, pv_rated, k, c, wt_rated) in enumerate(zip(*(r.hourly[n].tolist() for n in names))):
         pv_spec = dist.beta_pv_pdf(alpha, beta, pv_rated)
         wt_spec = dist.weibull_wt_pdf(k, c, *r.wind_speeds, wt_rated)
-        renewables.append((pv_spec, wt_spec))
         seq_pv = _discretized(pv_spec, pv_rated, r.step_q, f"pv[{h}]")
         seq_wt = _discretized(wt_spec, wt_rated, r.step_q, f"wt[{h}]")
         sequences.append(convolve(seq_pv, seq_wt))
@@ -344,5 +342,4 @@ def prepare(doc: dict, seed: int | None = None, iterations: int | None = None,
 
     jaya = r.jaya if r.jaya_seeded else replace(r.jaya, seed=run_seed)
     r = replace(r, pricing_iterations=n_iters, jaya=jaya, seed=run_seed)
-    return ScenarioRuntime(**vars(r), renewables=tuple(renewables), sequences=tuple(sequences),
-                           sessions=sessions)
+    return ScenarioRuntime(**vars(r), sequences=tuple(sequences), sessions=sessions)

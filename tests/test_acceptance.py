@@ -11,6 +11,8 @@ import time
 import numpy as np
 import pytest
 
+import reference_models as ref
+
 from mgsched import cli
 from mgsched import coordinator as co
 from mgsched import distributions as dist
@@ -81,8 +83,8 @@ def test_sequence_algebra_against_monte_carlo():
         assert expectation(joint) == pytest.approx(expectation(seq_a) + expectation(seq_b), abs=1e-9)
 
         n = 1_000_000
-        xa = dist.sample(spec_a, rng, n)
-        xb = dist.sample(spec_b, rng, n)
+        xa = ref.sample_power(spec_a, rng, n)
+        xb = ref.sample_power(spec_b, rng, n)
         idx = np.minimum(np.floor(xa / q + 0.5).astype(int), len(seq_a) - 1) + np.minimum(
             np.floor(xb / q + 0.5).astype(int), len(seq_b) - 1
         )
@@ -104,9 +106,12 @@ def test_chance_constraint_monte_carlo_coverage(joint_runs):
     rng = np.random.default_rng(314)
     reserve = sched.r_mt.sum(axis=0) + sched.p_res
     worst = 1.0
+    pv_alpha, pv_beta, pv_rated, wt_k, wt_c, wt_rated = (
+        rt.hourly[name] for name in ("pv.alpha", "pv.beta", "pv.p_rated", "wt.k", "wt.c", "wt.p_rated"))
     for t in range(24):
-        pv, wt = rt.renewables[t]
-        samples = dist.sample(pv, rng, 100_000) + dist.sample(wt, rng, 100_000)
+        pv = dist.beta_pv_pdf(pv_alpha[t], pv_beta[t], pv_rated[t])
+        wt = dist.weibull_wt_pdf(wt_k[t], wt_c[t], *rt.wind_speeds, wt_rated[t])
+        samples = ref.sample_power(pv, rng, 100_000) + ref.sample_power(wt, rng, 100_000)
         e_t = expectation(rt.sequences[t])
         coverage = float(np.mean(reserve[t] >= e_t - samples))
         assert coverage >= rt.gamma - 0.02, f"period {t}: coverage {coverage}"

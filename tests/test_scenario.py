@@ -302,6 +302,20 @@ def test_explicit_session_table(tmp_path, baseline_doc):
     )
 
 
+@pytest.mark.parametrize("arrival", ["-5.0", "30.0", "0.0", "nan"])
+def test_cli_rejects_session_arrival_outside_the_day_by_line(baseline_doc, tmp_path, capsys, arrival):
+    # arrivals lie in (0, 24]; outside it a window would start before the day
+    # or be clamped to its last hour without notice
+    from mgsched.ev_fleet import SESSION_CSV_COLUMNS
+
+    table = tmp_path / "fleet.csv"
+    table.write_text(f"{','.join(SESSION_CSV_COLUMNS)}\n0,18.5,30.0,0.5,0.9,-1,-1,7.6\n"
+                     f"1,{arrival},30.0,0.5,0.9,-1,-1,7.6\n")
+    doc = _with_field(baseline_doc, "fleet.sessions_csv", "fleet.csv")
+    _assert_cli_rejects_on_one_line(doc, tmp_path, capsys,
+                                    f"{table} line 3: arrival must lie in (0, 24], got {arrival}")
+
+
 # --- CLI ---
 
 OUTPUT_FILES = ("records.csv", "prices.csv", "schedule.csv", "charging_plan.csv", "sessions.csv",

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import reference_models as ref
+
 from mgsched import sequences
-from mgsched.distributions import PdfKind, atoms, beta_pv_pdf, density, weibull_wt_pdf
+from mgsched.distributions import PdfKind, atoms, beta_pv_pdf, weibull_wt_pdf
 from mgsched.sequences import (
     ProbSequence,
     convolve,
@@ -72,7 +74,7 @@ def test_discretization_rejects_lost_mass():
 def _quad_masses(pdf, edges):
     """The integral of the density over each bin, one ``integrate.quad`` call
     per non-empty bin."""
-    return [integrate.quad(lambda x: float(density(pdf, x)), lo, hi, limit=200)[0] if hi > lo else 0.0
+    return [integrate.quad(lambda x: float(ref.power_density(pdf, x)), lo, hi, limit=200)[0] if hi > lo else 0.0
             for lo, hi in zip(edges[:-1], edges[1:])]
 
 
