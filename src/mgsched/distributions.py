@@ -67,8 +67,8 @@ def weibull_sf(v, k, c):
 
 def density(spec: PdfSpec, x):
     """Continuous density of the PV model ``spec`` at ``x`` kW (excluding its
-    point mass).  Wind bins come from :func:`weibull_sf` in closed form, so
-    no wind density is needed."""
+    point mass): the reference that the tests integrate.  A run takes its
+    bins from distribution functions in closed form and needs no density."""
     if spec.kind is not PdfKind.BETA_PV:
         raise ValueError(f"no density for pdf kind {spec.kind}")
     x = np.asarray(x, dtype=float)
@@ -76,8 +76,8 @@ def density(spec: PdfSpec, x):
     pr = p["p_rated"]
     if pr == 0.0:
         return np.zeros_like(x)
-    # Beta density of the output fraction in closed form (no scipy.stats
-    # import on the run path); the support's end points carry no mass.
+    # Beta density of the output fraction in closed form; the support's end
+    # points carry no mass.
     a, b = p["alpha"], p["beta"]
     u = x / pr
     inside = (u > 0.0) & (u < 1.0)

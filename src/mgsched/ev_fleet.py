@@ -149,28 +149,43 @@ def write_sessions_csv(path, sessions: list[EvSession]) -> None:
     write_csv(path, SESSION_CSV_COLUMNS, rows)
 
 
-def read_sessions_csv(path) -> list[EvSession]:
+def read_sessions_csv(path, params: EvParams) -> list[EvSession]:
+    """The sessions of a session table, each row held to what sampling and
+    :func:`build_windows` guarantee: an arrival in (0, 24], a finite
+    non-negative mileage, an initial SOC in [soc_min, soc_expected], a target
+    from the initial SOC up to the charge target of :func:`soc_target` (below
+    it only where a late arrival's window truncated it), and the required
+    energy that the two SOC columns imply.  A row that breaks a rule raises
+    ``ValueError`` naming the table, the line and the field."""
     sessions = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != SESSION_CSV_COLUMNS:
             raise ValueError(f"unexpected session CSV header: {reader.fieldnames}")
         for row in reader:
-            arrival = float(row["arrival"])
-            if not 0.0 < arrival <= HORIZON:  # NaN fails too
-                raise ValueError(f"{path} line {reader.line_num}: arrival must lie in (0, {HORIZON}], "
-                                 f"got {row['arrival']}")
-            start, end = int(row["window_start"]), int(row["window_end"])
-            window = tuple(range(start, end)) if start >= 0 else ()
-            sessions.append(
-                EvSession(
-                    ev_id=int(row["ev_id"]),
-                    arrival_hour=arrival,
-                    mileage=float(row["mileage"]),
-                    soc_initial=float(row["soc_initial"]),
-                    soc_target=float(row["soc_target"]),
-                    required_energy=float(row["required_energy"]),
-                    window=window,
-                )
-            )
+            def fail(field, rule):
+                return ValueError(f"{path} line {reader.line_num}: {field} must {rule}, got {row[field]}")
+
+            v = {}
+            for name in SESSION_CSV_COLUMNS:
+                try:
+                    v[name] = (int if name in ("ev_id", "window_start", "window_end") else float)(row[name])
+                except (TypeError, ValueError):
+                    raise fail(name, "be a number") from None
+            soc, target = v["soc_initial"], v["soc_target"]
+            if not 0.0 < v["arrival"] <= HORIZON:  # NaN fails too
+                raise fail("arrival", f"lie in (0, {HORIZON}]")
+            if not 0.0 <= v["mileage"] < math.inf:
+                raise fail("mileage", "be finite and non-negative")
+            if not params.soc_min <= soc <= params.soc_expected:
+                raise fail("soc_initial", f"lie in [{params.soc_min}, {params.soc_expected}]")
+            charge_target = soc_target(soc, v["mileage"], params)
+            if not soc <= target <= charge_target:
+                raise fail("soc_target", f"lie in [{soc}, {charge_target}]")
+            implied = (target - soc) * params.battery_capacity
+            if not abs(v["required_energy"] - implied) <= 1e-9:
+                raise fail("required_energy", f"be (soc_target - soc_initial) * battery_capacity = {implied:.6g}")
+            start = v["window_start"]
+            sessions.append(EvSession(v["ev_id"], v["arrival"], v["mileage"], soc, target, v["required_energy"],
+                                      tuple(range(start, v["window_end"])) if start >= 0 else ()))
     return sessions

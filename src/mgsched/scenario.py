@@ -292,13 +292,13 @@ class ScenarioRuntime(Scenario):
 
 def _discretized(spec: dist.PdfSpec, p_rated: float, q: float, source: str) -> ProbSequence:
     """``discretize``, with any failure reported as the source and hour whose
-    distribution gave it (a density that is ``inf * 0`` inside its support
-    yields NaN bins, for example).
+    distribution gave it (Beta shapes so large that ``betainc`` is NaN yield
+    NaN bins, for example).
 
     The warnings raised on the way to such a failure (numpy's overflow and
-    invalid-value warnings, QUADPACK's ``IntegrationWarning``) are dropped
-    with it, so that the error is the whole report.  A discretization that
-    succeeds shows its warnings after it, as they would have been shown.
+    invalid-value warnings, say) are dropped with it, so that the error is
+    the whole report.  A discretization that succeeds shows its warnings
+    after it, as they would have been shown.
     """
     with warnings.catch_warnings(record=True) as caught:
         try:
@@ -335,7 +335,7 @@ def prepare(doc: dict, seed: int | None = None, iterations: int | None = None,
         csv_path = r.sessions_csv
         if not csv_path.is_absolute() and scenario_dir is not None:
             csv_path = scenario_dir / csv_path
-        sessions = read_sessions_csv(csv_path)
+        sessions = read_sessions_csv(csv_path, r.ev_params)
     else:
         sessions = dist.sample_fleet(r.fleet, r.count, run_seed)
     sessions = build_windows(sessions, r.ev_params, max_dwell=r.max_dwell)

@@ -1,7 +1,7 @@
 """Reference densities and samplers that the tests check the program against.
 
-A run needs none of them: it samples the fleet in ``sample_fleet``, takes wind
-bins from the Weibull survival function and integrates only the PV density.
+A run needs none of them: it samples the fleet in ``sample_fleet`` and takes
+PV and wind bins from closed-form distribution functions.
 """
 
 import math

@@ -170,7 +170,7 @@ def _record_bytes(record):
     return out
 
 
-@pytest.mark.parametrize("workload, seed", [("baseline", 100033), ("baseline", 100036), ("scaled150", 1)])
+@pytest.mark.parametrize("workload, seed", [("baseline", 100033), ("baseline", 100035), ("scaled150", 1)])
 def test_iteration_zero_is_bitwise_the_warm_started_search(workload, seed, baseline_scaled):
     doc = sc.load_scenario(sc.baseline_scenario_path()) if workload == "baseline" else baseline_scaled(150)
     rt = _with_iters(sc.prepare(doc, seed=seed), 1)
@@ -189,11 +189,11 @@ def test_iteration_zero_is_bitwise_the_warm_started_search(workload, seed, basel
     assert abs(record.mg_cost - base.mg_cost_ideal) <= tol
     assert abs(reference.mg_cost - base.mg_cost_ideal) <= tol
     # Both shortcuts would differ from the record: the exact schedule is not
-    # its own repaired encoding, and on baseline input 100036 the ideal cost
+    # its own repaired encoding, and on baseline input 100035 the ideal cost
     # differs from the record's in the last bits.
     assert any(getattr(base.schedule, f.name).tobytes() != getattr(record.schedule, f.name).tobytes()
                for f in fields(record.schedule))
-    assert (record.mg_cost != base.mg_cost_ideal) == (seed == 100036)
+    assert (record.mg_cost != base.mg_cost_ideal) == (seed == 100035)
 
 
 @pytest.mark.parametrize("iterations", [1, 2])

@@ -108,7 +108,7 @@ def test_session_csv_round_trip(tmp_path):
     sessions = build_windows(sample_fleet(FLEET, 20, seed=42), PARAMS, max_dwell=6.0)
     path = tmp_path / "sessions.csv"
     write_sessions_csv(path, sessions)
-    loaded = read_sessions_csv(path)
+    loaded = read_sessions_csv(path, PARAMS)
     assert len(loaded) == len(sessions)
     for orig, back in zip(sessions, loaded):
         assert back.ev_id == orig.ev_id

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -316,6 +317,45 @@ def test_cli_rejects_session_arrival_outside_the_day_by_line(baseline_doc, tmp_p
                                     f"{table} line 3: arrival must lie in (0, 24], got {arrival}")
 
 
+@pytest.mark.parametrize(
+    "row, field, rule, got",
+    [
+        pytest.param("18.5,30.0,0.05,0.9,-1,-1,16.15", "soc_initial", "lie in [0.2, 0.9]", "0.05",
+                     id="soc_initial-below-soc_min"),
+        pytest.param("18.5,30.0,0.5,0.9,-1,-1,16.15", "required_energy",
+                     "be (soc_target - soc_initial) * battery_capacity = 7.6", "16.15", id="energy-contradicts-socs"),
+        pytest.param("18.5,30.0,0.5,0.9,-1,-1,1000.0", "required_energy",
+                     "be (soc_target - soc_initial) * battery_capacity = 7.6", "1000.0", id="energy-beyond-battery"),
+        pytest.param("18.5,-30.0,0.5,0.9,-1,-1,7.6", "mileage", "be finite and non-negative", "-30.0",
+                     id="mileage-negative"),
+        pytest.param("18.5,30.0,0.5,0.95,-1,-1,8.55", "soc_target", "lie in [0.5, 0.9]", "0.95",
+                     id="soc_target-above-charge-target"),
+        pytest.param("18.5,thirty,0.5,0.9,-1,-1,7.6", "mileage", "be a number", "thirty", id="mileage-not-a-number"),
+    ],
+)
+def test_cli_rejects_bad_session_row_by_line_and_field(baseline_doc, tmp_path, capsys, row, field, rule, got):
+    # every row is held to what a sampled fleet guarantees (fleet.soc_min 0.2,
+    # soc_expected 0.9, a 19 kWh battery; 30 km give the charge target 0.9)
+    from mgsched.ev_fleet import SESSION_CSV_COLUMNS
+
+    table = tmp_path / "fleet.csv"
+    table.write_text(f"{','.join(SESSION_CSV_COLUMNS)}\n0,18.5,30.0,0.5,0.9,-1,-1,7.6\n1,{row}\n")
+    doc = _with_field(baseline_doc, "fleet.sessions_csv", "fleet.csv")
+    _assert_cli_rejects_on_one_line(doc, tmp_path, capsys, f"{table} line 3: {field} must {rule}, got {got}")
+
+
+@pytest.mark.parametrize("count", [20, 150])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_written_session_table_reads_back_as_valid(baseline_scaled, tmp_path, count, seed):
+    # the table a run writes, including the targets of truncated windows
+    from mgsched.ev_fleet import read_sessions_csv, write_sessions_csv
+
+    rt = sc.prepare(baseline_scaled(count), seed=seed)
+    table = tmp_path / "sessions.csv"
+    write_sessions_csv(table, rt.sessions)
+    assert read_sessions_csv(table, rt.ev_params) == [replace(s, target_truncated=False) for s in rt.sessions]
+
+
 # --- CLI ---
 
 OUTPUT_FILES = ("records.csv", "prices.csv", "schedule.csv", "charging_plan.csv", "sessions.csv",
@@ -379,9 +419,9 @@ NAN_BINS_ERROR = "invalid scenario: pv[6] cannot be discretized: probabilities m
 
 
 def _nan_bins_doc(baseline_doc):
-    """The baseline with Beta shapes so large that ``betaln`` of them is NaN,
-    so the PV density is NaN inside its support and integrates to NaN bins
-    (hour 6 is the first with sunlight)."""
+    """The baseline with Beta shapes so large that ``betainc`` of them is NaN
+    inside the support, so the PV bins are NaN (hour 6 is the first with
+    sunlight)."""
     doc = copy.deepcopy(baseline_doc)
     doc["pv"]["alpha"] = [1e308] * 24
     doc["pv"]["beta"] = [1e308] * 24

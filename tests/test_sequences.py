@@ -1,18 +1,28 @@
-"""Probability-sequence tests: analytic bin integrals, the vectorized bins
-against a per-bin ``quad`` reference, convolution against a Monte-Carlo
-oracle, and the reserve transform against a brute-force scan."""
+"""Probability-sequence tests: the closed-form bins against 40-digit and
+per-bin ``quad`` references, extreme distribution shapes, convolution against
+a Monte-Carlo oracle, and the reserve transform against a brute-force scan."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import betainc
 
 import reference_models as ref
 
-from mgsched import sequences
+from mgsched import cli
+from mgsched import scenario as sc
 from mgsched.distributions import PdfKind, atoms, beta_pv_pdf, weibull_wt_pdf
 from mgsched.sequences import (
+    SUM_TOL,
     ProbSequence,
     convolve,
     discretize,
@@ -63,6 +73,14 @@ def test_wind_grid_beyond_rated_output_adds_no_mass():
     assert not wide[13:].any()
 
 
+def test_pv_grid_beyond_rated_output_adds_no_mass():
+    # the fraction p / p_rated is held at 1 past the rated output
+    spec = beta_pv_pdf(2.6, 2.4, 38.0)
+    wide = discretize(spec, 48.0, 2.5).probs
+    assert wide[:17] == pytest.approx(discretize(spec, 38.0, 2.5).probs, rel=1e-15, abs=0.0)
+    assert not wide[17:].any()
+
+
 def test_discretization_rejects_lost_mass():
     # binning a 38 kW panel onto a 20 kW grid drops real probability mass
     from mgsched.sequences import DiscretizationError
@@ -87,6 +105,25 @@ def _wind_masses(pdf, edges):
     with np.errstate(over="ignore"):
         survival = np.exp(-((speed / p["c"]) ** p["k"]))
     return survival[:-1] - survival[1:]
+
+
+def _beta_masses(pdf, edges):
+    """The exact mass of each PV bin [lo, hi): I(hi) - I(lo), with I the
+    regularized incomplete beta function of the output fraction, held at 1
+    past the rated output."""
+    p = pdf.params
+    below = betainc(p["alpha"], p["beta"], np.minimum(edges / p["p_rated"], 1.0))
+    return below[1:] - below[:-1]
+
+
+def _mpmath_beta_masses(pdf, edges):
+    """The masses of ``_beta_masses`` from a 40-digit ``mpmath.betainc`` of
+    the exact output fraction, each rounded once."""
+    p = pdf.params
+    with mpmath.workdps(40):
+        below = [mpmath.betainc(p["alpha"], p["beta"], 0, min(mpmath.mpf(e) / p["p_rated"], 1), regularized=True)
+                 for e in edges.tolist()]
+        return np.array([float(hi - lo) for lo, hi in zip(below[:-1], below[1:])])
 
 
 def _discretize_reference(pdf, p_max, q, bin_masses):
@@ -133,8 +170,8 @@ ORACLE_CASES = {
     "step_0.1": lambda scaled: _renewable_specs(scaled(20), 0.1),
     "shapes": lambda scaled: [
         (beta_pv_pdf(1.0, 1.0, 10.0), 10.0, 2.5),
-        # nearly uniform: the end bin's error estimate is all spread
-        # (abserr == resasc), so QAGS goes on although it is within the bound
+        # nearly uniform: quad's first error estimate on the end bin is all
+        # spread, so it subdivides there although it is within the bound
         (beta_pv_pdf(1.0 + 1e-9, 1.0, 10.0), 10.0, 2.5),
         (beta_pv_pdf(2.6, 2.4, 38.0), 38.0, 2.5),
         (beta_pv_pdf(0.9, 1.7, 13.0), 13.0, 2.5),  # singular at zero output
@@ -144,24 +181,11 @@ ORACLE_CASES = {
 }
 
 
-class _QuadRecorder:
-    """Stand-in for ``scipy.integrate`` that records how many integrand
-    evaluations each ``quad`` call made."""
-
-    def __init__(self):
-        self.nevals = []
-
-    def quad(self, *args, **kwargs):
-        val, err, info = integrate.quad(*args, full_output=1, **kwargs)[:3]
-        self.nevals.append(info["neval"])
-        return val, err
-
-
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_bins_match_per_bin_quad_bitwise(case, baseline_scaled):
-    # PV bins are quad's values bit for bit.  Wind bins are exact: they are
-    # their closed form bit for bit, hold with the atoms all of the mass, and
-    # agree with quad to its accuracy.
+    # Every bin is exact: it is its closed form bit for bit, and agrees with
+    # quad to quad's accuracy.  PV bins also lie within a few ulps of a
+    # 40-digit reference, and wind bins hold with the atoms all of the mass.
     for spec, p_max, q in ORACLE_CASES[case](baseline_scaled):
         got = discretize(spec, p_max, q).probs
         by_quad, _ = _discretize_reference(spec, p_max, q, _quad_masses)
@@ -170,20 +194,93 @@ def test_bins_match_per_bin_quad_bitwise(case, baseline_scaled):
             assert abs(total - 1.0) <= 1e-12, (spec, q)
             assert np.abs(got - by_quad).max() <= 1e-13, (spec, q)
         else:
-            want = by_quad
+            want, _ = _discretize_reference(spec, p_max, q, _beta_masses)
+            by_mpmath, _ = _discretize_reference(spec, p_max, q, _mpmath_beta_masses)
+            assert np.abs(got - by_mpmath).max() <= 2e-15, (spec, q)
+            assert np.abs(got - by_quad).max() <= 5e-11, (spec, q)  # quad's own error, up to 2.2e-11
         assert got.tobytes() == want.tobytes(), (spec, q)
 
 
-@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_only_bins_that_qags_subdivides_go_to_quad(case, baseline_scaled, monkeypatch):
-    recorder = _QuadRecorder()
-    monkeypatch.setattr(sequences, "integrate", recorder)
-    bins = sum(len(discretize(*spec)) for spec in ORACLE_CASES[case](baseline_scaled))
-    # QAGS's first step costs 21 evaluations; every bin handed on subdivides
-    assert all(neval > 21 for neval in recorder.nevals)
-    assert len(recorder.nevals) < bins
-    if case != "step_0.1":  # at 0.1 kW every bin stops after the first step
-        assert recorder.nevals
+def test_prepare_imports_neither_scipy_integrate_nor_stats():
+    # the bins are closed forms, so a run loads no quadrature and no
+    # distribution objects
+    src = Path(cli.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from mgsched import cli, scenario as sc\n"
+        "sc.prepare(sc.load_scenario(sc.baseline_scenario_path()))\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.stats'))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+NOON = 12  # the baseline's sunniest hour: 38 kW of PV, 30 kW of wind
+
+
+def _noon_specs(alpha, beta, k, c):
+    """The baseline's noon PV and wind models with the given shapes, each
+    with its source name, rated output and step."""
+    doc = sc.load_scenario(sc.baseline_scenario_path())
+    pv_rated, wt, q = doc["pv"]["p_rated"][NOON], doc["wt"], doc["algorithm"]["step_q"]
+    wind = weibull_wt_pdf(k, c, wt["v_in"], wt["v_rated"], wt["v_out"], wt["p_rated"][NOON])
+    return [(f"pv[{NOON}]", beta_pv_pdf(alpha, beta, pv_rated), pv_rated, q),
+            (f"wt[{NOON}]", wind, wt["p_rated"][NOON], q)]
+
+
+# 1000 examples take about 2 s.  The shapes span the whole positive float
+# range, so (v / c) ** k overflows or underflows, and the Beta density
+# x ** (alpha - 1) * (1 - x) ** (beta - 1) / B(alpha, beta) meets inf * 0.
+# With both Beta shapes below about 1e-150, scipy's betainc can be wrong and
+# not monotone: the example's CDF reads 1.6e-3 up to 0.6 of the rated output
+# and about 1e-229 from 0.7 to 0.9.  Such a scenario must fail by field, as
+# it does; it must never pass silently.
+@settings(max_examples=1000, deadline=None)
+@given(alpha=_log_uniform(-300, 300), beta=_log_uniform(-300, 300), k=_log_uniform(-300, 300),
+       c=_log_uniform(-300, 300))
+@example(alpha=1.10e-222, beta=1.81e-225, k=2.1, c=6.0)
+def test_extreme_shapes_give_bins_or_fail_by_field(alpha, beta, k, c):
+    for source, spec, p_rated, q in _noon_specs(alpha, beta, k, c):
+        try:
+            probs = sc._discretized(spec, p_rated, q, source).probs
+        except sc.ScenarioError as exc:
+            message = str(exc)
+            assert message.startswith(f"{source} cannot be discretized: ") and "\n" not in message
+        else:
+            assert np.all(np.isfinite(probs)) and probs.min() >= 0.0, (source, probs)
+            assert abs(probs.sum() - 1.0) <= SUM_TOL, (source, probs)
+
+
+def test_cdf_round_off_leaves_a_bin_empty():
+    # betainc steps back by one ulp near 1 on this grid; that bin holds no mass
+    spec = beta_pv_pdf(1.961550223223783, 33.19745814461095, 38.0)
+    edges = np.minimum(np.r_[0.0, (np.arange(1, 382) - 0.5) * 0.1, 38.0], 38.0)
+    assert _beta_masses(spec, edges).min() < 0.0
+    probs = discretize(spec, 38.0, 0.1).probs
+    assert probs.min() == 0.0
+    assert np.abs(probs - _discretize_reference(spec, 38.0, 0.1, _mpmath_beta_masses)[0]).max() <= 1e-15
+
+
+def test_wrong_betainc_at_tiny_shapes_fails_by_field():
+    # scipy's betainc is not monotone at these shapes, so a bin is negative
+    ((source, spec, p_rated, q), _) = _noon_specs(1.10e-222, 1.81e-225, 2.1, 6.0)
+    with pytest.raises(sc.ScenarioError, match=r"^pv\[12\] cannot be discretized: probabilities must lie in \[0, 1\]$"):
+        sc._discretized(spec, p_rated, q, source)
+
+
+# 200 examples take about 2 s.
+@settings(max_examples=200, deadline=None)
+@given(alpha=_log_uniform(-2, 3), beta=_log_uniform(-2, 3))
+def test_moderate_beta_shapes_match_mpmath(alpha, beta):
+    ((_, spec, p_rated, q), _) = _noon_specs(alpha, beta, 2.1, 6.0)
+    want, _ = _discretize_reference(spec, p_rated, q, _mpmath_beta_masses)
+    assert np.abs(discretize(spec, p_rated, q).probs - want).max() <= 1e-13
 
 
 def test_sequence_invariants_enforced():
